@@ -52,7 +52,7 @@ final case class SimpleDB(kept: Map[Long, Array[Int]]) {
 
   /** Materialise the simplified trajectories given the original database. */
   def materialise(db: Array[Traj]): Array[Traj] =
-    db.map(t => Traj(t.id, kept.getOrElse(t.id, Array(0, t.length - 1)).map(t.points)))
+    db.map(t => Traj(t.id, kept.getOrElse(t.id, Model.endpoints(t.length)).map(t.points)))
 }
 
 /** Conversions between the in-memory database (Array[Traj], used by the
@@ -129,8 +129,12 @@ object Model {
   }
 
   /** Trivial simplification: first+last point of every trajectory. */
-  def firstLast(db: Array[Traj]): SimpleDB =
-    SimpleDB(db.map(t => t.id -> (if (t.length <= 1) Array(0) else Array(0, t.length - 1))).toMap)
+  def firstLast(db: Array[Traj]): SimpleDB = SimpleDB(db.map(t => t.id -> endpoints(t.length)).toMap)
+
+  /** Indices of the first and last point of a trajectory of `len` points,
+    * without repeating index 0 when there is only one.
+    */
+  def endpoints(len: Int): Array[Int] = if (len <= 1) Array(0) else Array(0, len - 1)
 
   /** Total number of points in a database. */
   def totalPoints(db: Array[Traj]): Long = db.map(_.length.toLong).sum

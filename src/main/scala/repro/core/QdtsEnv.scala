@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
 import repro.index.{OctNode, Octree}
 import repro.traj.ErrorMeasures
 
@@ -21,14 +20,31 @@ final case class QdtsParams(
   * range-query F1 bookkeeping so the reward signal
   * `diff(Q(D),Q(D')) − diff(Q(D),Q(D''))` costs O(#queries) per insertion
   * instead of re-running the workload.
+  *
+  * Every point's (v_s, v_t) of Eq. 6 is cached. An insertion into trajectory
+  * `ti` changes the anchor segment only of `ti`'s points between the new
+  * point's two neighbouring anchors, so it refreshes just those: one
+  * insertion costs O(#queries + anchor segment). Gathering a cube's
+  * candidates is then one primitive pass over the cube's range of
+  * `Octree.flat`, reading cached values.
   */
 final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: QdtsParams) {
 
   val octree = new Octree(db, params.maxLevel, params.leafCap)
   workload.foreach(octree.addQuery)
 
+  // the octree's shape is fixed after the build, so the start-level frontier is too
+  private val startFrontier: IndexedSeq[OctNode] = octree.frontierAtLevel(params.startLevel)
+
   private val inserted: Array[Array[Boolean]] = db.map(tr => new Array[Boolean](tr.length))
-  private val kept: Array[java.util.TreeSet[Integer]] = db.map(_ => new java.util.TreeSet[Integer]())
+  // (v_s, v_t) of every point w.r.t. its current anchor segment; meaningful
+  // for un-inserted points once both endpoints of the trajectory are in D'
+  private val vs: Array[Array[Double]] = db.map(tr => new Array[Double](tr.length))
+  private val vt: Array[Array[Double]] = db.map(tr => new Array[Double](tr.length))
+  // scratch of `candidates`: best point per trajectory (-1 = none yet) and
+  // the trajectories seen, reset after every call
+  private val bestPt: Array[Int] = Array.fill(db.length)(-1)
+  private val touched: Array[Int] = new Array[Int](db.length)
   var insertedCount: Int = 0
 
   // ---- incremental F1 over the range-query workload ----
@@ -49,14 +65,19 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
   }
 
   /** Insert point `pi` of trajectory `ti` into D'. Returns false if it was
-    * already inserted. Updates the octree's remaining counters and the
-    * incremental F1 state of every workload query.
+    * already inserted. Updates the octree's remaining counters, the cached
+    * values of the points whose anchor segment changed, and the incremental
+    * F1 state of every workload query.
     */
   def insertPoint(ti: Int, pi: Int): Boolean = {
-    if (inserted(ti)(pi)) return false
-    inserted(ti)(pi) = true
-    kept(ti).add(pi)
+    val flags = inserted(ti)
+    if (flags(pi)) return false
+    flags(pi) = true
     insertedCount += 1
+    val a = prevAnchor(ti, pi)
+    val b = nextAnchor(ti, pi)
+    if (a >= 0) refresh(ti, a, pi)
+    if (b < flags.length) refresh(ti, pi, b)
     val p = db(ti).points(pi)
     octree.markInserted(p)
     var qi = 0
@@ -69,6 +90,34 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
       qi += 1
     }
     true
+  }
+
+  /** Nearest inserted index of trajectory `ti` before `pi`, or -1. */
+  private def prevAnchor(ti: Int, pi: Int): Int = {
+    val flags = inserted(ti)
+    var a = pi - 1
+    while (a >= 0 && !flags(a)) a -= 1
+    a
+  }
+
+  /** Nearest inserted index of trajectory `ti` after `pi`, or its length. */
+  private def nextAnchor(ti: Int, pi: Int): Int = {
+    val flags = inserted(ti)
+    var b = pi + 1
+    while (b < flags.length && !flags(b)) b += 1
+    b
+  }
+
+  /** Recompute the cached values of the points strictly between anchors `a` and `b`. */
+  private def refresh(ti: Int, a: Int, b: Int): Unit = {
+    val pts = db(ti).points
+    val pa = pts(a); val pb = pts(b)
+    var i = a + 1
+    while (i < b) {
+      vs(ti)(i) = ErrorMeasures.sed(pa, pb, pts(i))
+      vt(ti)(i) = temporalValue(pa, pb, pts(i))
+      i += 1
+    }
   }
 
   /** Mean F1 of the workload on the current D' vs the original D (Eq. 3). */
@@ -94,12 +143,8 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
   /** The QDTS objective term diff(Q(D), Q(D')) = 1 − mean F1. */
   def diff: Double = 1.0 - avgF1
 
-  def result: SimpleDB = {
-    import scala.jdk.CollectionConverters._
-    SimpleDB(db.indices.map { ti =>
-      db(ti).id -> kept(ti).asScala.iterator.map(_.intValue()).toArray
-    }.toMap)
-  }
+  def result: SimpleDB =
+    SimpleDB(db.indices.map(ti => db(ti).id -> keptIndices(ti)).toMap)
 
   // ---------------- Agent-Cube support ----------------
 
@@ -110,7 +155,7 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     * distribution, exactly as in the paper's Table II setup.
     */
   def sampleStartNode(rng: java.util.Random, byQuery: Boolean = true): OctNode = {
-    val frontier = octree.frontierAtLevel(params.startLevel).filter(_.remaining > 0)
+    val frontier = startFrontier.filter(_.remaining > 0)
     require(frontier.nonEmpty, "no un-inserted points left")
     val totalPts = math.max(octree.root.nPoints, 1).toDouble
     val weights =
@@ -166,17 +211,54 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
 
   /** Per-trajectory best candidates in cube `node`, sorted by descending v_s,
     * truncated to K (Eq. 8). Empty only if the cube has no un-inserted points.
+    * Ties: within a trajectory the earliest point in `Octree.flat` order wins;
+    * across trajectories the lower `trajIdx` comes first.
     */
   def candidates(node: OctNode): Array[Candidate] = {
+    val flat = octree.flat
+    var nTouched = 0
+    var i = node.lo
+    while (i < node.hi) {
+      val ti = Octree.trajOf(flat(i)); val pi = Octree.ptOf(flat(i))
+      if (!inserted(ti)(pi)) {
+        val b = bestPt(ti)
+        // an earlier point stays unless it is not >= the new one: the
+        // reference scan's keep test, NaN included
+        if (b < 0) { bestPt(ti) = pi; touched(nTouched) = ti; nTouched += 1 }
+        else if (!(vs(ti)(b) >= vs(ti)(pi))) bestPt(ti) = pi
+      }
+      i += 1
+    }
+    val top = touched.take(nTouched).sortWith(ranksBefore).take(params.k)
+    val out = top.map { ti =>
+      val pi = bestPt(ti)
+      Candidate(ti, pi, vs(ti)(pi), vt(ti)(pi))
+    }
+    var j = 0
+    while (j < nTouched) { bestPt(touched(j)) = -1; j += 1 }
+    out
+  }
+
+  /** Candidate order of trajectories `a` and `b` by their best points: (−v_s, trajIdx). */
+  private def ranksBefore(a: Int, b: Int): Boolean = {
+    val c = java.lang.Double.compare(-vs(a)(bestPt(a)), -vs(b)(bestPt(b)))
+    c < 0 || (c == 0 && a < b)
+  }
+
+  /** The from-scratch scan `candidates` replaces: every point of the cube,
+    * values recomputed by `pointValues`. Kept as the reference the
+    * differential tests compare against.
+    */
+  private[core] def candidatesReference(node: OctNode): Array[Candidate] = {
     val best = scala.collection.mutable.HashMap.empty[Int, Candidate]
     val it = octree.pointsIn(node)
     while (it.hasNext) {
       val (ti, pi) = it.next()
       if (!inserted(ti)(pi)) {
-        val (vs, vt) = pointValues(ti, pi)
+        val (pvs, pvt) = pointValues(ti, pi)
         best.get(ti) match {
-          case Some(c) if c.vs >= vs => ()
-          case _                     => best(ti) = Candidate(ti, pi, vs, vt)
+          case Some(c) if c.vs >= pvs => ()
+          case _                      => best(ti) = Candidate(ti, pi, pvs, pvt)
         }
       }
     }
@@ -186,23 +268,23 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
   /** (v_s, v_t) of Eq. 6: v_s is the SED of the point w.r.t. its current
     * anchor segment in D' (the kept points immediately before and after it);
     * v_t is the time difference to the spatially closest point on that anchor.
+    * Computed from scratch; `candidates` reads the cached equivalent.
     */
   def pointValues(ti: Int, pi: Int): (Double, Double) = {
-    val tr = db(ti)
-    val a = kept(ti).floor(pi - 1)
-    val b = kept(ti).ceiling(pi + 1)
+    val pts = db(ti).points
     // endpoints are always kept, and pi itself is not, so both exist
-    val pa = tr.points(a); val pb = tr.points(b); val p = tr.points(pi)
-    val vs = ErrorMeasures.sed(pa, pb, p)
-    val vt = {
-      val dx = pb.x - pa.x; val dy = pb.y - pa.y
-      val len2 = dx * dx + dy * dy
-      val u = if (len2 == 0) 0.0
-              else math.max(0.0, math.min(1.0, ((p.x - pa.x) * dx + (p.y - pa.y) * dy) / len2))
-      val tClosest = pa.t + u * (pb.t - pa.t)
-      math.abs(p.t - tClosest)
-    }
-    (vs, vt)
+    val pa = pts(prevAnchor(ti, pi)); val pb = pts(nextAnchor(ti, pi)); val p = pts(pi)
+    (ErrorMeasures.sed(pa, pb, p), temporalValue(pa, pb, p))
+  }
+
+  /** v_t of `p` on anchor segment (pa, pb). */
+  private def temporalValue(pa: Point, pb: Point, p: Point): Double = {
+    val dx = pb.x - pa.x; val dy = pb.y - pa.y
+    val len2 = dx * dx + dy * dy
+    val u = if (len2 == 0) 0.0
+            else math.max(0.0, math.min(1.0, ((p.x - pa.x) * dx + (p.y - pa.y) * dy) / len2))
+    val tClosest = pa.t + u * (pb.t - pa.t)
+    math.abs(p.t - tClosest)
   }
 
   /** Agent-Point state (Eq. 8): the K candidates' (v_s, v_t), normalised by
@@ -225,13 +307,12 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     (s, mask)
   }
 
-  /** All current anchor intervals collected (test support). */
-  private[core] def keptIndices(ti: Int): Array[Int] = {
-    val buf = ArrayBuffer.empty[Int]
-    val it = kept(ti).iterator()
-    while (it.hasNext) buf += it.next().intValue()
-    buf.toArray
-  }
+  /** Kept indices of trajectory `ti`, ascending. */
+  private[core] def keptIndices(ti: Int): Array[Int] =
+    inserted(ti).indices.filter(inserted(ti)).toArray
+
+  /** The cached (v_s, v_t) of a point (test support). */
+  private[core] def cachedValues(ti: Int, pi: Int): (Double, Double) = (vs(ti)(pi), vt(ti)(pi))
 
   private[core] def isInserted(ti: Int, pi: Int): Boolean = inserted(ti)(pi)
 }

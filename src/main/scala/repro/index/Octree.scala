@@ -1,12 +1,11 @@
 package repro.index
 
 import scala.collection.mutable.ArrayBuffer
-import repro.core.{Box, Point, Traj}
+import repro.core.{Box, Model, Point, Traj}
 
 /** A node of the adaptive octree. `level` is 1-based as in the paper (the
   * root cube is B_1^1). A node is a leaf until its point count exceeds
-  * `leafCap` and it is below `maxDepth`; leaves hold their points, internal
-  * nodes hold statistics only.
+  * `leafCap` and it is below `maxDepth`; internal nodes hold statistics only.
   *
   * Per-node statistics:
   *  - `m` — number of distinct trajectories with >=1 point in the cube (the
@@ -15,17 +14,23 @@ import repro.core.{Box, Point, Traj}
   *  - `q` — number of workload queries whose centre falls in the cube (Q_B).
   *  - `remaining` — points in the cube not yet inserted into the simplified
   *    database; used to mask exhausted subtrees during Agent-Cube traversal.
+  *  - `[lo, hi)` — the cube's points as a range of `Octree.flat`.
   */
 final class OctNode(val level: Int, val box: Box) {
   var m: Int = 0
   var q: Int = 0
   var remaining: Int = 0
-  var nPoints: Int = 0
+  var lo: Int = 0
+  var hi: Int = 0
   private[index] var lastTraj: Long = -1L
   var children: Array[OctNode] = _ // null while leaf
-  private[index] var pts: ArrayBuffer[Long] = new ArrayBuffer[Long]() // (trajIdx<<32)|ptIdx
+  // point codes of a leaf while the tree is built; moved into `Octree.flat`
+  private[index] var pts: ArrayBuffer[Long] = new ArrayBuffer[Long]()
 
   def isLeaf: Boolean = children == null
+
+  /** Number of points in the cube (after the build). */
+  def nPoints: Int = hi - lo
 }
 
 /** Octree over a trajectory database (Section IV, "spatio-temporal cubes").
@@ -39,14 +44,7 @@ final class OctNode(val level: Int, val box: Box) {
 final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32) {
 
   val bounds: Box = {
-    var xmin = Double.MaxValue; var xmax = Double.MinValue
-    var ymin = Double.MaxValue; var ymax = Double.MinValue
-    var tmin = Double.MaxValue; var tmax = Double.MinValue
-    for (tr <- db; p <- tr.points) {
-      if (p.x < xmin) xmin = p.x; if (p.x > xmax) xmax = p.x
-      if (p.y < ymin) ymin = p.y; if (p.y > ymax) ymax = p.y
-      if (p.t < tmin) tmin = p.t; if (p.t > tmax) tmax = p.t
-    }
+    val (xmin, xmax, ymin, ymax, tmin, tmax) = Model.bounds(db)
     // widen slightly so max-coordinate points land strictly inside
     val ex = math.max(1e-9, (xmax - xmin) * 1e-9)
     val ey = math.max(1e-9, (ymax - ymin) * 1e-9)
@@ -56,8 +54,12 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
 
   val root: OctNode = new OctNode(1, bounds)
 
-  // Build: insert every point in (trajectory, index) order.
-  {
+  /** Every point code `(trajIdx << 32) | ptIdx`, leaves laid out in DFS
+    * order (children 0–7, each leaf's points in insertion order); node `n`
+    * owns `flat(n.lo until n.hi)`. Read-only after the build.
+    */
+  val flat: Array[Long] = {
+    // Build: insert every point in (trajectory, index) order.
     var ti = 0
     while (ti < db.length) {
       val tr = db(ti)
@@ -65,6 +67,20 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
       while (pi < tr.points.length) { insert(ti, pi, tr.points(pi)); pi += 1 }
       ti += 1
     }
+    val out = new Array[Long](Model.totalPoints(db).toInt)
+    def lay(n: OctNode, at: Int): Int = {
+      n.lo = at
+      n.hi =
+        if (n.isLeaf) {
+          n.pts.copyToArray(out, at)
+          val end = at + n.pts.length
+          n.pts = null
+          end
+        } else n.children.foldLeft(at)((pos, c) => lay(c, pos))
+      n.hi
+    }
+    lay(root, 0)
+    out
   }
 
   private def childBox(b: Box, ci: Int): Box = {
@@ -83,7 +99,6 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
 
   private def bump(n: OctNode, trajIdx: Int): Unit = {
     if (n.lastTraj != trajIdx.toLong) { n.m += 1; n.lastTraj = trajIdx.toLong }
-    n.nPoints += 1
     n.remaining += 1
   }
 
@@ -106,8 +121,8 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
     var i = 0
     while (i < old.length) {
       val code = old(i)
-      val ti = (code >>> 32).toInt; val pi = (code & 0xffffffffL).toInt
-      val p = db(ti).points(pi)
+      val ti = Octree.trajOf(code)
+      val p = db(ti).points(Octree.ptOf(code))
       var c = n.children(childIndex(n.box, p))
       bump(c, ti)
       while (!c.isLeaf) { c = c.children(childIndex(c.box, p)); bump(c, ti) }
@@ -137,11 +152,9 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
     out.toIndexedSeq
   }
 
-  /** All (trajIdx, ptIdx) pairs in the subtree of `n`. */
-  def pointsIn(n: OctNode): Iterator[(Int, Int)] = {
-    if (n.isLeaf) n.pts.iterator.map(c => ((c >>> 32).toInt, (c & 0xffffffffL).toInt))
-    else n.children.iterator.flatMap(pointsIn)
-  }
+  /** All (trajIdx, ptIdx) pairs in the subtree of `n`, in `flat` order. */
+  def pointsIn(n: OctNode): Iterator[(Int, Int)] =
+    Iterator.range(n.lo, n.hi).map(i => (Octree.trajOf(flat(i)), Octree.ptOf(flat(i))))
 
   /** Mark a point as inserted into the simplified database: decrements
     * `remaining` along its root-to-leaf path.
@@ -157,4 +170,12 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
     def rec(n: OctNode): Int = 1 + (if (n.isLeaf) 0 else n.children.map(rec).sum)
     rec(root)
   }
+}
+
+object Octree {
+  /** Trajectory index of a point code. */
+  @inline def trajOf(code: Long): Int = (code >>> 32).toInt
+
+  /** Point index of a point code. */
+  @inline def ptOf(code: Long): Int = (code & 0xffffffffL).toInt
 }

@@ -108,5 +108,12 @@ class ModelSpec extends SparkSpec {
     assert(m(0).points.toSeq === Seq(t1.points(0), t1.points(2), t1.points(3)))
   }
 
+  test("SimpleDB.materialise falls back to the endpoints, once for a one-point trajectory") {
+    val single = tr(7, (1, 1, 1))
+    val m = SimpleDB(Map.empty).materialise(Array(t1, single))
+    assert(m(0).points.toSeq === Seq(t1.points(0), t1.points(3)))
+    assert(m(1).points.toSeq === Seq(single.points(0)))
+  }
+
   test("totalPoints sums lengths") { assert(Model.totalPoints(db) === 6L) }
 }

@@ -124,6 +124,63 @@ class QdtsEnvSpec extends SparkSpec {
     assert(cands.forall(c => !env.isInserted(c.trajIdx, c.ptIdx)))
   }
 
+  /** Walk a random descent from a sampled start cube: at each level stop
+    * with probability 1/3, otherwise enter a random child with remaining points.
+    */
+  private def randomCube(env: QdtsEnv, rng: java.util.Random): repro.index.OctNode = {
+    var node = env.sampleStartNode(rng, byQuery = rng.nextBoolean())
+    var stop = false
+    while (!stop && !node.isLeaf) {
+      val mask = env.cubeMask(node)
+      val kids = (0 until 8).filter(mask)
+      if (kids.isEmpty || rng.nextInt(3) == 0) stop = true
+      else node = node.children(kids(rng.nextInt(kids.length)))
+    }
+    node
+  }
+
+  test("candidates equal the reference scan at every step up to N, for three profiles") {
+    for ((profile, nTrajs) <- Seq((TrajGen.chengdu, 8), (TrajGen.geolife, 4), (TrajGen.tdrive, 6))) {
+      val gen = TrajGen.genLocal(profile, nTrajs, 11)
+      val p0 = gen(0).points(0)
+      // plus a one-point and a two-point trajectory
+      val db = gen :+ Traj(1000, Array(p0)) :+ Traj(1001, gen(1).points.take(2))
+      val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+      val env = new QdtsEnv(db, Workload.dataDist(db, 10, 2000, tmax - tmin, 12), params)
+      val rng = new java.util.Random(13)
+      val n = Model.totalPoints(db).toInt
+      var steps = 0
+      while (env.insertedCount < n) {
+        val node = randomCube(env, rng)
+        val cands = env.candidates(node)
+        assert(cands.toSeq === env.candidatesReference(node).toSeq,
+          s"${profile.name} step $steps level ${node.level}")
+        assert(cands.nonEmpty)
+        val c = cands(rng.nextInt(cands.length))
+        assert(env.insertPoint(c.trajIdx, c.ptIdx))
+        steps += 1
+      }
+      assert(env.candidates(env.octree.root).isEmpty)
+      assert(env.result.totalPoints === n)
+    }
+  }
+
+  test("cached (v_s, v_t) equal pointValues for every un-inserted point after each insertion") {
+    val env = mkEnv(nTrajs = 4, nQ = 5)
+    val rng = new java.util.Random(17)
+    val all = scala.util.Random.javaRandomToRandom(rng)
+      .shuffle(for (ti <- env.db.indices; pi <- env.db(ti).points.indices) yield (ti, pi))
+    def check(): Unit =
+      for (ti <- env.db.indices; pi <- env.db(ti).points.indices if !env.isInserted(ti, pi)) {
+        val (cs, ct) = env.cachedValues(ti, pi)
+        val (s, t) = env.pointValues(ti, pi)
+        assert(java.lang.Double.doubleToLongBits(cs) === java.lang.Double.doubleToLongBits(s))
+        assert(java.lang.Double.doubleToLongBits(ct) === java.lang.Double.doubleToLongBits(t))
+      }
+    check()
+    for ((ti, pi) <- all) if (env.insertPoint(ti, pi)) check()
+  }
+
   test("pointValues: a point on its anchor segment has vs 0") {
     val db = Array(Traj(0, Array(
       Point(0, 0, 0), Point(5, 0, 5), Point(10, 0, 10))))

@@ -80,6 +80,22 @@ class RL4QDTSSpec extends SparkSpec {
     assert(hi >= lo - 0.05, s"lo=$lo hi=$hi")
   }
 
+  test("simplify returns the pinned SimpleDBs (full model and w/o Agent-Point)") {
+    val src = scala.io.Source.fromResource("repro/core/simplify_pins.txt")
+    val pins = try src.getLines().filterNot(_.startsWith("#")).toVector finally src.close()
+    assert(pins.length === 8)
+    for (line <- pins) {
+      val Array(profile, dbSeed, seed, usePoint, kept) = line.split(" ")
+      val db = TrajGen.genLocal(TrajGen.profiles(profile), if (profile == "chengdu") 10 else 8,
+        dbSeed.toLong)
+      val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+      val wl = Workload.dataDist(db, 20, 2000, tmax - tmin, dbSeed.toLong + 1)
+      val s = RL4QDTS.simplify(db, 2 * db.length + 60, wl, agents.cubeNet, agents.pointNet,
+        params, seed.toLong, RL4QDTS.Variant(usePoint = usePoint.toBoolean))
+      assert(db.map(tr => s.kept(tr.id).mkString(",")).mkString(";") === kept, line.take(20))
+    }
+  }
+
   test("simplifyRuns returns the requested number of runs") {
     val (db, wl) = setup(nTrajs = 5)
     val runs = RL4QDTS.simplifyRuns(db, 2 * db.length + 10, wl,

@@ -47,6 +47,17 @@ class TrainingSpec extends SparkSpec {
       repro.rl.MLP.fromWeights(trained.bestCube.get).forward(s).toSeq)
   }
 
+  test("training reproduces the pinned run (validation F1 and final online nets)") {
+    def bits(xs: Array[Double]) = xs.map(java.lang.Double.doubleToLongBits).toSeq
+    assert(trained.bestValF1 === 1.0)
+    assert(bits(trained.cube.online.forward(Array.fill(16)(0.1))) === Seq(
+      4581512992505244307L, 4584846157069675988L, -4635048892995995645L,
+      -4629244365879044784L, 4586624117301413191L, -4630923064370232851L,
+      -4632960395961013526L, 4583318207220203163L, 4575402634683998952L))
+    assert(bits(trained.point.online.forward(Array.fill(4)(0.1))) ===
+      Seq(-4651958910240683127L, -4637655577463042101L))
+  }
+
   test("trained policies drive inference without errors and meet budgets") {
     val db = TrajGen.genLocal(TrajGen.chengdu, 12, 77)
     val (_, _, _, _, tmin, tmax) = Model.bounds(db)

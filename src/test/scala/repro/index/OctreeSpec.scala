@@ -79,6 +79,43 @@ class OctreeSpec extends SparkSpec {
     assert(all.distinct.size === 80)
   }
 
+  test("each node's [lo, hi) equals the leaf walk, and children partition it") {
+    val db = TrajGen.genLocal(TrajGen.chengdu, 8, 5)
+    val ot = new Octree(db, 6, 8)
+    // descend each point with the octree's child rule; a leaf receives its
+    // points in (trajectory, index) order
+    val byLeaf = scala.collection.mutable.LinkedHashMap.empty[OctNode, Vector[Long]]
+    for (ti <- db.indices; pi <- db(ti).points.indices) {
+      val p = db(ti).points(pi)
+      var n = ot.root
+      while (!n.isLeaf) {
+        val b = n.box
+        n = n.children((if (p.x >= (b.xmin + b.xmax) / 2) 1 else 0) |
+          (if (p.y >= (b.ymin + b.ymax) / 2) 2 else 0) | (if (p.t >= (b.tmin + b.tmax) / 2) 4 else 0))
+      }
+      byLeaf(n) = byLeaf.getOrElse(n, Vector.empty) :+ ((ti.toLong << 32) | pi)
+    }
+    // the leaf walk: leaves in DFS order (children 0-7), each leaf's points in turn
+    val walk = Vector.newBuilder[Long]
+    var at = 0
+    def check(n: OctNode): Unit = {
+      assert(n.lo === at, s"level ${n.level}")
+      if (n.isLeaf) {
+        val own = byLeaf.getOrElse(n, Vector.empty)
+        walk ++= own; at += own.length
+      } else {
+        n.children.foreach(check)
+        assert(n.children.head.lo === n.lo && n.children.last.hi === n.hi)
+        for (i <- 0 until 7) assert(n.children(i).hi === n.children(i + 1).lo)
+      }
+      assert(n.hi === at, s"level ${n.level}")
+    }
+    check(ot.root)
+    assert(ot.flat.toVector === walk.result())
+    assert(ot.pointsIn(ot.root).map { case (ti, pi) => (ti.toLong << 32) | pi }.toVector ===
+      ot.flat.toVector)
+  }
+
   test("addQuery increments Q along the centre's path") {
     val db = grid(16)
     val ot = new Octree(db, 5, 4)

@@ -27,6 +27,10 @@ final case class QdtsParams(
   * insertion costs O(#queries + anchor segment). Gathering a cube's
   * candidates is then one primitive pass over the cube's range of
   * `Octree.flat`, reading cached values.
+  *
+  * Training builds one env per database and calls `reset()` at the start
+  * of every episode; inference (`RL4QDTS.simplify`) resets it before each
+  * run.
   */
 final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: QdtsParams) {
 
@@ -45,7 +49,7 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
   // the trajectories seen, reset after every call
   private val bestPt: Array[Int] = Array.fill(db.length)(-1)
   private val touched: Array[Int] = new Array[Int](db.length)
-  var insertedCount: Int = 0
+  private var nInserted: Int = 0
 
   // ---- incremental F1 over the range-query workload ----
   // ground truth on the original database
@@ -58,10 +62,30 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
   private val rsSize: Array[Int] = new Array[Int](workload.length)
   private val matched: Array[Int] = new Array[Int](workload.length)
 
-  // D' starts as the most simplified database: endpoints of every trajectory.
-  for (ti <- db.indices) {
-    insertPoint(ti, 0)
-    if (db(ti).length > 1) insertPoint(ti, db(ti).length - 1)
+  // endpoints of every trajectory, the size of the most simplified database
+  private val nEndpoints: Int = db.map(tr => math.min(tr.length, 2)).sum
+
+  reset()
+
+  /** Restore D' to the most simplified database: the endpoints of every
+    * trajectory. The octree, its query counts and the ground truth depend
+    * only on (D, workload) and are kept, so one env serves every episode on
+    * its database.
+    */
+  def reset(): Unit = {
+    // every other field is a function of the inserted set, and insertions
+    // only add: endpoints-only already holds when that many are inserted
+    if (nInserted == nEndpoints) return
+    inserted.foreach(java.util.Arrays.fill(_, false))
+    inBox.foreach(java.util.Arrays.fill(_, false))
+    java.util.Arrays.fill(rsSize, 0)
+    java.util.Arrays.fill(matched, 0)
+    nInserted = 0
+    octree.resetRemaining()
+    for (ti <- db.indices) {
+      insertPoint(ti, 0)
+      if (db(ti).length > 1) insertPoint(ti, db(ti).length - 1)
+    }
   }
 
   /** Insert point `pi` of trajectory `ti` into D'. Returns false if it was
@@ -73,7 +97,7 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     val flags = inserted(ti)
     if (flags(pi)) return false
     flags(pi) = true
-    insertedCount += 1
+    nInserted += 1
     val a = prevAnchor(ti, pi)
     val b = nextAnchor(ti, pi)
     if (a >= 0) refresh(ti, a, pi)
@@ -119,6 +143,9 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
       i += 1
     }
   }
+
+  /** Number of points in D'. */
+  def insertedCount: Int = nInserted
 
   /** Mean F1 of the workload on the current D' vs the original D (Eq. 3). */
   def avgF1: Double = {

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import repro.index.OctNode
 import repro.queries.Workload
-import repro.rl.{MLP, NetWeights}
+import repro.rl.{DQN, MLP, NetWeights}
 
 /** The RL4QDTS algorithm (Algorithms 1–3): start from the most simplified
   * database (endpoints only), then repeatedly (1) let Agent-Cube traverse the
@@ -30,8 +30,7 @@ object RL4QDTS {
     while (!stop && !node.isLeaf) {
       val s = env.cubeState(node)
       val mask = env.cubeMask(node)
-      val q = cubeNet.forward(s)
-      val a = mask.indices.filter(mask).maxBy(q)
+      val a = DQN.maskedArgmax(cubeNet.forward(s), mask)
       if (a == 8) stop = true else node = node.children(a)
     }
     node
@@ -45,8 +44,7 @@ object RL4QDTS {
     if (!variant.usePoint || cands.length == 1) cands(0) // greedy: max v_s
     else {
       val (s, mask) = env.pointState(node, cands)
-      val q = pointNet.forward(s)
-      val a = mask.indices.filter(mask).maxBy(q)
+      val a = DQN.maskedArgmax(pointNet.forward(s), mask)
       cands(math.min(a, cands.length - 1))
     }
   }
@@ -57,10 +55,17 @@ object RL4QDTS {
     */
   def simplify(db: Array[Traj], totalBudget: Int, workload: Array[Box],
                cubeNet: MLP, pointNet: MLP, params: QdtsParams = QdtsParams(),
-               seed: Long = 0, variant: Variant = Variant()): SimpleDB = {
-    val env = new QdtsEnv(db, workload, params)
+               seed: Long = 0, variant: Variant = Variant()): SimpleDB =
+    simplify(new QdtsEnv(db, workload, params), totalBudget, cubeNet, pointNet, seed, variant)
+
+  /** `simplify` over an existing env: resets it to the endpoints, then runs
+    * Algorithm 1 on its database and workload.
+    */
+  def simplify(env: QdtsEnv, totalBudget: Int, cubeNet: MLP, pointNet: MLP,
+               seed: Long, variant: Variant): SimpleDB = {
+    env.reset()
     val rng = new java.util.Random(seed)
-    val n = Model.totalPoints(db)
+    val n = Model.totalPoints(env.db)
     val target = math.min(totalBudget.toLong, n).toInt
     while (env.insertedCount < target) {
       val node = chooseCube(env, rng, cubeNet, variant)
@@ -72,13 +77,14 @@ object RL4QDTS {
 
   /** Run `simplify` `runs` times with different seeds (the paper reports the
     * mean and standard deviation over 50 runs because of the random start-cube
-    * sampling); returns the simplified databases.
+    * sampling) on one env; returns the simplified databases.
     */
   def simplifyRuns(db: Array[Traj], totalBudget: Int, workload: Array[Box],
                    cubeNet: MLP, pointNet: MLP, params: QdtsParams, runs: Int,
-                   seed: Long = 0, variant: Variant = Variant()): Seq[SimpleDB] =
-    (0 until runs).map(r =>
-      simplify(db, totalBudget, workload, cubeNet, pointNet, params, seed + 7919L * r, variant))
+                   seed: Long = 0, variant: Variant = Variant()): Seq[SimpleDB] = {
+    val env = new QdtsEnv(db, workload, params)
+    (0 until runs).map(r => simplify(env, totalBudget, cubeNet, pointNet, seed + 7919L * r, variant))
+  }
 
   /** Distributed inference: partition the trajectory relation into `nGroups`
     * batches, broadcast the trained policy weights, and run RL4QDTS per batch

@@ -67,11 +67,12 @@ object Training {
     val valWl = repro.queries.Workload.generate(cfg.workloadKind, valDb, cfg.nQueries,
       cfg.querySizeXY, math.max((vtmax - vtmin) * cfg.queryTFrac, 1.0), cfg.seed - 8)
     val valGt = valWl.map(repro.queries.RangeQuery.inMemory(valDb, _))
+    val valEnv = new QdtsEnv(valDb, valWl, cfg.params)
 
     def validate(): Unit = {
       val simp = RL4QDTS
-        .simplify(valDb, valBudget, valWl, agents.cube.online, agents.point.online,
-          cfg.params, seed = 17)
+        .simplify(valEnv, valBudget, agents.cube.online, agents.point.online,
+          seed = 17, RL4QDTS.Variant())
         .materialise(valDb)
       val f1 = repro.queries.Quality.mean(valWl.indices.map(i =>
         repro.queries.Quality.f1(valGt(i), repro.queries.RangeQuery.inMemory(simp, valWl(i)))))
@@ -97,9 +98,12 @@ object Training {
         cfg.querySizeXY, sizeT, cfg.seed + dbIdx)
       val n = Model.totalPoints(db)
       val budget = math.max(2 * db.length, math.round(cfg.budgetFrac * n).toInt)
+      // the octree, its query counts and the ground truth depend only on
+      // (db, workload): one env for every episode on this database
+      val env = new QdtsEnv(db, workload, cfg.params)
 
       for (_ <- 0 until cfg.episodesPerDb) {
-        val env = new QdtsEnv(db, workload, cfg.params)
+        env.reset()
         var sinceWindow = 0
         val target = math.min(budget.toLong, n).toInt
 

@@ -80,6 +80,7 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
       n.hi
     }
     lay(root, 0)
+    resetRemaining()
     out
   }
 
@@ -97,10 +98,8 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
     (if (p.x >= mx) 1 else 0) | (if (p.y >= my) 2 else 0) | (if (p.t >= mt) 4 else 0)
   }
 
-  private def bump(n: OctNode, trajIdx: Int): Unit = {
+  private def bump(n: OctNode, trajIdx: Int): Unit =
     if (n.lastTraj != trajIdx.toLong) { n.m += 1; n.lastTraj = trajIdx.toLong }
-    n.remaining += 1
-  }
 
   private def insert(trajIdx: Int, ptIdx: Int, p: Point): Unit = {
     var n = root
@@ -155,6 +154,17 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
   /** All (trajIdx, ptIdx) pairs in the subtree of `n`, in `flat` order. */
   def pointsIn(n: OctNode): Iterator[(Int, Int)] =
     Iterator.range(n.lo, n.hi).map(i => (Octree.trajOf(flat(i)), Octree.ptOf(flat(i))))
+
+  /** Mark every point un-inserted again: each node's `remaining` becomes its
+    * `nPoints`.
+    */
+  def resetRemaining(): Unit = {
+    def rec(n: OctNode): Unit = {
+      n.remaining = n.nPoints
+      if (!n.isLeaf) n.children.foreach(rec)
+    }
+    rec(root)
+  }
 
   /** Mark a point as inserted into the simplified database: decrements
     * `remaining` along its root-to-leaf path.

@@ -27,17 +27,29 @@ final class DQN(
   var epsilon: Double = 1.0
   private var steps = 0
 
+  // buffers of `trainStep`: the sampled batch, its regression inputs, and
+  // the next-state forward passes of both nets
+  private val batch = new Array[Transition](batchSize)
+  private val states = new Array[Array[Double]](batchSize)
+  private val actions = new Array[Int](batchSize)
+  private val targets = new Array[Double](batchSize)
+  private val hNext = new Array[Double](hidden)
+  private val qOnline = new Array[Double](nActions)
+  private val qTarget = new Array[Double](nActions)
+
   /** Greedy action among valid ones; ε-greedy when `explore`. `mask(a)` marks
     * valid actions; at least one action must be valid.
     */
   def selectAction(state: Array[Double], mask: Array[Boolean], explore: Boolean): Int = {
-    val valid = mask.indices.filter(mask)
-    require(valid.nonEmpty, "no valid action")
-    if (explore && rng.nextDouble() < epsilon) valid(rng.nextInt(valid.length))
-    else {
-      val q = online.forward(state)
-      valid.maxBy(q)
-    }
+    val nValid = mask.count(identity)
+    require(nValid > 0, "no valid action")
+    if (explore && rng.nextDouble() < epsilon) {
+      // the k-th valid action
+      var k = rng.nextInt(nValid)
+      var a = 0
+      while (!mask(a) || k > 0) { if (mask(a)) k -= 1; a += 1 }
+      a
+    } else DQN.maskedArgmax(online.forward(state), mask)
   }
 
   def remember(t: Transition): Unit = memory.add(t)
@@ -46,30 +58,49 @@ final class DQN(
     * Bellman target (action argmax from the online net, value from the target
     * net — the plain max target overestimates badly with sparse rewards and
     * masked action sets), periodically sync the target network. Returns the
-    * batch loss (0 when memory is smaller than the batch).
+    * batch loss (0 when memory is smaller than the batch). Allocates nothing.
     */
   def trainStep(): Double = {
     if (memory.size < batchSize) return 0.0
-    val batch = memory.sample(batchSize).map { t =>
-      val tgt =
-        if (t.done) t.reward
-        else {
-          val valid = t.nextMask.indices.filter(t.nextMask)
-          if (valid.isEmpty) t.reward
-          else {
-            val qOnline = online.forward(t.nextState)
-            val aStar = valid.maxBy(qOnline)
-            t.reward + gamma * target.forward(t.nextState)(aStar)
-          }
-        }
-      (t.state, t.action, tgt)
+    memory.sampleInto(batch)
+    var b = 0
+    while (b < batchSize) {
+      val t = batch(b)
+      states(b) = t.state
+      actions(b) = t.action
+      val aStar =
+        if (t.done) -1 else DQN.maskedArgmax(online.forwardInto(t.nextState, hNext, qOnline), t.nextMask)
+      targets(b) =
+        if (aStar < 0) t.reward
+        else t.reward + gamma * target.forwardInto(t.nextState, hNext, qTarget)(aStar)
+      b += 1
     }
-    val loss = online.trainBatch(batch, lr)
+    val loss = online.trainBatch(states, actions, targets, lr)
     steps += 1
     if (steps % targetSyncEvery == 0) target.copyFrom(online)
     loss
   }
 
-  /** Decay exploration rate (call once per episode). */
+  /** Decay the exploration rate by one step; `Training` calls it once per
+    * reward window (every Δ insertions), `RltsPlus` once per trajectory episode.
+    */
   def decayEpsilon(): Unit = epsilon = math.max(epsMin, epsilon * epsDecay)
+}
+
+object DQN {
+
+  /** The valid action with the largest Q-value, or -1 if no action is
+    * valid. Ties go to the first maximum in index order under
+    * `java.lang.Double.compare` (NaN above every number, -0.0 below 0.0), as
+    * `mask.indices.filter(mask).maxBy(q)` picks it.
+    */
+  def maskedArgmax(q: Array[Double], mask: Array[Boolean]): Int = {
+    var best = -1
+    var a = 0
+    while (a < mask.length) {
+      if (mask(a) && (best < 0 || java.lang.Double.compare(q(a), q(best)) > 0)) best = a
+      a += 1
+    }
+    best
+  }
 }

@@ -33,10 +33,17 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
   private var adamT = 0
   private val beta1 = 0.9; private val beta2 = 0.999; private val adamEps = 1e-8
 
+  // buffers of the training kernel, reused by every `trainBatch` call
+  private val gW1 = Array.ofDim[Double](hidden, inDim); private val gB1 = new Array[Double](hidden)
+  private val gW2 = Array.ofDim[Double](outDim, hidden); private val gB2 = new Array[Double](outDim)
+  private val hBuf = new Array[Double](hidden); private val dh = new Array[Double](hidden)
+
   /** Hidden activations for input x. */
-  def hiddenOut(x: Array[Double]): Array[Double] = {
+  def hiddenOut(x: Array[Double]): Array[Double] = hiddenInto(x, new Array[Double](hidden))
+
+  /** Hidden activations for input x, written to `h`; returns `h`. */
+  private def hiddenInto(x: Array[Double], h: Array[Double]): Array[Double] = {
     require(x.length == inDim, s"input dim ${x.length} != $inDim")
-    val h = new Array[Double](hidden)
     var j = 0
     while (j < hidden) {
       var s = b1(j); val w = w1(j)
@@ -49,9 +56,14 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
   }
 
   /** Q-values for input x. */
-  def forward(x: Array[Double]): Array[Double] = {
-    val h = hiddenOut(x)
-    val out = new Array[Double](outDim)
+  def forward(x: Array[Double]): Array[Double] =
+    forwardInto(x, new Array[Double](hidden), new Array[Double](outDim))
+
+  /** Q-values for input x, written to `out` with `h` holding the hidden
+    * activations; returns `out`. Callers sharing buffers must not overlap.
+    */
+  private[rl] def forwardInto(x: Array[Double], h: Array[Double], out: Array[Double]): Array[Double] = {
+    hiddenInto(x, h)
     var k = 0
     while (k < outDim) {
       var s = b2(k); val w = w2(k)
@@ -64,23 +76,41 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
   }
 
   /** One Adam step on a batch of (state, action, tdTarget): minimises
-    * mean (Q(s)(a) - target)^2. Returns the batch loss.
+    * mean (Q(s)(a) - target)^2. Returns the batch loss. The batch must not
+    * be empty.
     */
   def trainBatch(batch: Seq[(Array[Double], Int, Double)], lr: Double): Double = {
-    val gW1 = Array.fill(hidden, inDim)(0.0); val gB1 = Array.fill(hidden)(0.0)
-    val gW2 = Array.fill(outDim, hidden)(0.0); val gB2 = Array.fill(outDim)(0.0)
+    val (xs, as, ys) = batch.unzip3
+    trainBatch(xs.toArray, as.toArray, ys.toArray, lr)
+  }
+
+  /** `trainBatch` on parallel arrays: state `xs(b)`, action `as(b)`, target
+    * `ys(b)`. Allocates nothing.
+    */
+  private[rl] def trainBatch(xs: Array[Array[Double]], as: Array[Int], ys: Array[Double],
+                             lr: Double): Double = {
+    val n = xs.length
+    // an empty batch has no gradient, but Adam's momentum would still move every weight
+    require(n > 0, "empty training batch")
+    var j = 0
+    while (j < hidden) { java.util.Arrays.fill(gW1(j), 0.0); j += 1 }
+    java.util.Arrays.fill(gB1, 0.0)
+    var k = 0
+    while (k < outDim) { java.util.Arrays.fill(gW2(k), 0.0); k += 1 }
+    java.util.Arrays.fill(gB2, 0.0)
     var loss = 0.0
-    val bs = batch.size.toDouble
-    for ((x, a, target) <- batch) {
-      val h = hiddenOut(x)
+    val bs = n.toDouble
+    var b = 0
+    while (b < n) {
+      val x = xs(b); val a = as(b)
+      val h = hiddenInto(x, hBuf)
       var qa = b2(a)
-      var j = 0
+      j = 0
       while (j < hidden) { qa += w2(a)(j) * h(j); j += 1 }
-      val err = qa - target
+      val err = qa - ys(b)
       loss += err * err / bs
       val dq = 2.0 * err / bs
       // output layer grads + backprop into hidden
-      val dh = new Array[Double](hidden)
       j = 0
       while (j < hidden) {
         gW2(a)(j) += dq * h(j)
@@ -99,6 +129,7 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
         }
         j += 1
       }
+      b += 1
     }
     adamT += 1
     val bc1 = 1 - math.pow(beta1, adamT); val bc2 = 1 - math.pow(beta2, adamT)
@@ -111,10 +142,10 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
         i += 1
       }
     }
-    var j = 0
+    j = 0
     while (j < hidden) { upd(w1(j), gW1(j), mW1(j), vW1(j)); j += 1 }
     upd(b1, gB1, mB1, vB1)
-    var k = 0
+    k = 0
     while (k < outDim) { upd(w2(k), gW2(k), mW2(k), vW2(k)); k += 1 }
     upd(b2, gB2, mB2, vB2)
     loss

@@ -32,4 +32,13 @@ final class ReplayMemory(val capacity: Int, seed: Long = 11) {
   def sample(n: Int): Seq[Transition] =
     if (filled == 0) Seq.empty
     else Seq.fill(math.min(n, filled))(buf(rng.nextInt(filled)))
+
+  /** Fill `out` with a uniform sample, drawing exactly as `sample(out.length)`
+    * does; needs at least `out.length` transitions stored.
+    */
+  def sampleInto(out: Array[Transition]): Unit = {
+    require(filled >= out.length, s"sample of ${out.length} from $filled transitions")
+    var i = 0
+    while (i < out.length) { out(i) = buf(rng.nextInt(filled)); i += 1 }
+  }
 }

@@ -181,6 +181,59 @@ class QdtsEnvSpec extends SparkSpec {
     for ((ti, pi) <- all) if (env.insertPoint(ti, pi)) check()
   }
 
+  /** Every node of `o` in DFS order. */
+  private def nodes(o: repro.index.Octree): Vector[repro.index.OctNode] = {
+    def rec(n: repro.index.OctNode): Vector[repro.index.OctNode] =
+      n +: (if (n.isLeaf) Vector.empty else n.children.toVector.flatMap(rec))
+    rec(o.root)
+  }
+
+  test("reset() gives the state of a fresh env, for two profiles and short trajectories") {
+    def bits(d: Double) = java.lang.Double.doubleToLongBits(d)
+    val agents = Training.makeAgents(params, seed = 5)
+    for ((profile, nTrajs) <- Seq((TrajGen.chengdu, 8), (TrajGen.geolife, 4))) {
+      val gen = TrajGen.genLocal(profile, nTrajs, 19)
+      // plus a one-point and a two-point trajectory
+      val db = gen :+ Traj(1000, Array(gen(0).points(0))) :+ Traj(1001, gen(1).points.take(2))
+      val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+      val wl = Workload.dataDist(db, 10, 2000, tmax - tmin, 20)
+      val env = new QdtsEnv(db, wl, params)
+      val fresh = new QdtsEnv(db, wl, params)
+      val freshNodes = nodes(fresh.octree)
+      val rng = new java.util.Random(23)
+      for (round <- 1 to 3) {
+        for (_ <- 0 until 50 * round) {
+          val ti = rng.nextInt(db.length)
+          env.insertPoint(ti, rng.nextInt(db(ti).length))
+        }
+        env.reset()
+        val msg = s"${profile.name} round $round"
+        assert(env.insertedCount === fresh.insertedCount, msg)
+        assert(bits(env.avgF1) === bits(fresh.avgF1), msg)
+        assert(env.result.kept.view.mapValues(_.toSeq).toMap ===
+          fresh.result.kept.view.mapValues(_.toSeq).toMap, msg)
+        val envNodes = nodes(env.octree)
+        assert(envNodes.map(_.remaining) === freshNodes.map(_.remaining), msg)
+        for (ti <- db.indices; pi <- db(ti).points.indices if !env.isInserted(ti, pi)) {
+          val (s1, t1) = env.cachedValues(ti, pi); val (s2, t2) = fresh.cachedValues(ti, pi)
+          assert((bits(s1), bits(t1)) === (bits(s2), bits(t2)), s"$msg point ($ti, $pi)")
+        }
+        for (_ <- 0 until 20) {
+          val i = rng.nextInt(envNodes.length)
+          def key(cs: Array[_ <: QdtsEnv#Candidate]) =
+            cs.map(c => (c.trajIdx, c.ptIdx, bits(c.vs), bits(c.vt))).toSeq
+          assert(key(env.candidates(envNodes(i))) === key(fresh.candidates(freshNodes(i))), s"$msg node $i")
+        }
+      }
+      // a simplification on the reused, dirtied env equals one on a new env
+      for (ti <- db.indices) env.insertPoint(ti, db(ti).length / 2)
+      val w = 2 * db.length + 40
+      val reused = RL4QDTS.simplify(env, w, agents.cubeNet, agents.pointNet, 31, RL4QDTS.Variant())
+      val alone = RL4QDTS.simplify(db, w, wl, agents.cubeNet, agents.pointNet, params, seed = 31)
+      assert(reused.kept.view.mapValues(_.toSeq).toMap === alone.kept.view.mapValues(_.toSeq).toMap)
+    }
+  }
+
   test("pointValues: a point on its anchor segment has vs 0") {
     val db = Array(Traj(0, Array(
       Point(0, 0, 0), Point(5, 0, 5), Point(10, 0, 10))))

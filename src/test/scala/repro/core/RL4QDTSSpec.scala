@@ -104,6 +104,17 @@ class RL4QDTSSpec extends SparkSpec {
     assert(runs.forall(_.totalPoints === 2 * db.length + 10))
   }
 
+  test("simplifyRuns on one env equals independent simplify calls with the same seeds") {
+    val (db, wl) = setup(nTrajs = 6, seed = 29)
+    val runs = RL4QDTS.simplifyRuns(db, 2 * db.length + 40, wl,
+      agents.cubeNet, agents.pointNet, params, runs = 3, seed = 17)
+    for ((s, r) <- runs.zipWithIndex) {
+      val alone = RL4QDTS.simplify(db, 2 * db.length + 40, wl, agents.cubeNet, agents.pointNet,
+        params, seed = 17 + 7919L * r)
+      assert(s.kept.view.mapValues(_.toSeq).toMap === alone.kept.view.mapValues(_.toSeq).toMap)
+    }
+  }
+
   test("simplifySpark respects the per-group budget fraction") {
     val (db, _) = setup(nTrajs = 12, seed = 21)
     val df = Model.toDF(spark, db.toSeq)

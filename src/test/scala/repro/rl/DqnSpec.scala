@@ -114,6 +114,81 @@ class DqnSpec extends SparkSpec {
     assert(dqn2.online.forward(s0)(0) < 5.0, "bootstrap leaked through the mask")
   }
 
+  test("maskedArgmax picks the first of tied maxima") {
+    assert(DQN.maskedArgmax(Array(1.0, 3.0, 3.0, 2.0), Array(true, true, true, true)) === 1)
+    assert(DQN.maskedArgmax(Array(3.0, 3.0, 3.0), Array(false, true, true)) === 1)
+    assert(DQN.maskedArgmax(Array(0.0, -0.0), Array(true, true)) === 0)
+    // -0.0 ranks below 0.0, as under maxBy's default Ordering[Double]
+    assert(DQN.maskedArgmax(Array(-0.0, 0.0), Array(true, true)) === 1)
+  }
+
+  test("maskedArgmax ignores a masked-out action with the largest Q") {
+    assert(DQN.maskedArgmax(Array(5.0, 9.0, 1.0), Array(true, false, true)) === 0)
+    assert(DQN.maskedArgmax(Array(9.0, -1.0), Array(false, true)) === 1)
+    assert(DQN.maskedArgmax(Array(9.0, 1.0), Array(false, false)) === -1)
+  }
+
+  test("maskedArgmax agrees with filter + maxBy, NaN and signed zeros included") {
+    val rng = new java.util.Random(71)
+    val values = Array(Double.NaN, -0.0, 0.0, 1.0, -1.0, 2.0, Double.NegativeInfinity)
+    for (_ <- 0 until 2000) {
+      val n = 1 + rng.nextInt(9)
+      val q = Array.fill(n)(values(rng.nextInt(values.length)))
+      val mask = Array.fill(n)(rng.nextInt(3) > 0)
+      val valid = mask.indices.filter(mask)
+      val expected = if (valid.isEmpty) -1 else valid.maxBy(q)
+      assert(DQN.maskedArgmax(q, mask) === expected, s"q=${q.toSeq} mask=${mask.toSeq}")
+    }
+  }
+
+  /** `trainStep` as written before it reused its batch buffers: the
+    * reference the allocation-free step is checked against. `step` is the
+    * 1-based count of learning steps taken, for the target sync.
+    */
+  private def referenceTrainStep(d: DQN, step: Int): Double = {
+    val batch = d.memory.sample(d.batchSize).map { t =>
+      val tgt =
+        if (t.done) t.reward
+        else {
+          val valid = t.nextMask.indices.filter(t.nextMask)
+          if (valid.isEmpty) t.reward
+          else {
+            val qOnline = d.online.forward(t.nextState)
+            val aStar = valid.maxBy(qOnline)
+            t.reward + d.gamma * d.target.forward(t.nextState)(aStar)
+          }
+        }
+      (t.state, t.action, tgt)
+    }
+    val loss = d.online.trainBatch(batch, d.lr)
+    if (step % d.targetSyncEvery == 0) d.target.copyFrom(d.online)
+    loss
+  }
+
+  test("trainStep equals the reference step bit for bit") {
+    def bits(w: NetWeights): Seq[Long] =
+      (w.w1.flatten ++ w.b1 ++ w.w2.flatten ++ w.b2).map(java.lang.Double.doubleToLongBits).toSeq
+    val a = new DQN(3, 4, batchSize = 8, targetSyncEvery = 5, seed = 73)
+    val b = new DQN(3, 4, batchSize = 8, targetSyncEvery = 5, seed = 73)
+    val rng = new java.util.Random(79)
+    def vec() = Array.fill(3)(rng.nextGaussian())
+    var step = 0
+    for (i <- 0 until 60) {
+      // mixed terminal / bootstrap transitions with partial (sometimes empty) next masks
+      val t = Transition(vec(), rng.nextInt(4), rng.nextGaussian(), vec(),
+        Array.fill(4)(rng.nextInt(3) == 0), done = rng.nextInt(3) == 0)
+      a.remember(t); b.remember(t)
+      if (i >= 7) {
+        step += 1
+        val la = a.trainStep()
+        val lb = referenceTrainStep(b, step)
+        assert(java.lang.Double.doubleToLongBits(la) === java.lang.Double.doubleToLongBits(lb), s"step $step")
+        assert(bits(a.online.snapshot) === bits(b.online.snapshot), s"online, step $step")
+        assert(bits(a.target.snapshot) === bits(b.target.snapshot), s"target, step $step")
+      }
+    }
+  }
+
   test("target network sync copies online weights") {
     val dqn = new DQN(1, 2, targetSyncEvery = 1, seed = 67)
     for (i <- 0 until 40) { dqn.remember(tr(i)); }

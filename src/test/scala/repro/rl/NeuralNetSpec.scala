@@ -96,6 +96,18 @@ class NeuralNetSpec extends SparkSpec {
     assert(loss < 0.01, s"loss=$loss")
   }
 
+  test("trainBatch rejects an empty batch and leaves the weights unchanged") {
+    val net = new MLP(2, 4, 2, seed = 37)
+    net.trainBatch(Seq((Array(0.5, -0.5), 1, 2.0)), 0.01) // Adam momentum is now non-zero
+    val before = net.snapshot
+    intercept[IllegalArgumentException] { net.trainBatch(Seq.empty, 0.01) }
+    val after = net.snapshot
+    assert(after.w1.map(_.toSeq).toSeq === before.w1.map(_.toSeq).toSeq)
+    assert(after.b1.toSeq === before.b1.toSeq)
+    assert(after.w2.map(_.toSeq).toSeq === before.w2.map(_.toSeq).toSeq)
+    assert(after.b2.toSeq === before.b2.toSeq)
+  }
+
   test("only the taken action's Q-value is regressed") {
     val net = new MLP(2, 6, 2, seed = 19)
     val x = Array(0.4, 0.6)

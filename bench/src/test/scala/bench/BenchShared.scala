@@ -1,48 +1,12 @@
 package bench
 
-import repro.core.{Model, Traj, Training}
-import repro.exp.Experiments
-import repro.baselines.RltsPlus
-import repro.traj.ErrorMeasures.Measure
+import repro.exp.Figures
 
-/** Shared (lazily built, built once per JVM) bench state: the test-split
-  * database, the trained RL4QDTS agents, the trained RLTS+ baselines, and the
-  * evaluators. Benches run sequentially in one forked JVM, so these are
-  * computed once no matter how many suites use them.
+/** Shared (lazily built, built once per JVM) bench state: the experiments'
+  * inputs (`Figures.Inputs`). Benches run sequentially in one forked JVM, so
+  * these are computed once no matter how many suites use them.
   */
-object BenchShared {
-
-  lazy val db: Array[Traj] = {
-    val d = Experiments.benchDb()
-    Console.err.println(s"[bench] db: ${d.length} trajectories, ${Model.totalPoints(d)} points")
-    d
-  }
-
-  def nPoints: Long = Model.totalPoints(db)
-
-  lazy val agents: Training.TrainedAgents = {
-    val (a, t) = Experiments.time(Experiments.trainAgents())
-    Console.err.println(f"[bench] RL4QDTS training took $t%.1f s")
-    a
-  }
-
-  lazy val rlts: Map[Measure, RltsPlus] = {
-    val (r, t) = Experiments.time(Experiments.trainRltsBaselines())
-    Console.err.println(f"[bench] RLTS+ training took $t%.1f s")
-    r
-  }
-
-  lazy val evalData: Experiments.Evaluator = {
-    val ev = new Experiments.Evaluator(db, "data")
-    Console.err.println(s"[bench] data-distribution evaluator: ${ev.gtSummary}")
-    ev
-  }
-
-  lazy val evalGauss: Experiments.Evaluator = {
-    val ev = new Experiments.Evaluator(db, "gaussian")
-    Console.err.println(s"[bench] gaussian-distribution evaluator: ${ev.gtSummary}")
-    ev
-  }
+object BenchShared extends Figures.Inputs {
 
   /** Append a rendered table to bench_results.md so every run leaves a record. */
   def record(text: String): Unit = {

@@ -1,9 +1,7 @@
 package bench
 
 import repro.SparkSpec
-import repro.baselines.Baselines
-import repro.exp.Experiments
-import repro.queries.Quality
+import repro.exp.Figures
 
 /** Fig. 3 (rendered as a table) — effectiveness of all 25 EDTS baseline
   * adaptations plus RL4QDTS on the five query tasks under the data
@@ -14,37 +12,8 @@ import repro.queries.Quality
 class Fig3SkylineBench extends SparkSpec {
 
   test("Fig 3: all 25 baselines + RL4QDTS across five query tasks") {
-    val db = BenchShared.db
-    val ev = BenchShared.evalData
-    val w = math.max(2 * db.length + 10, (0.0025 * BenchShared.nPoints).toInt)
-
-    val methods = Baselines.all(BenchShared.rlts)
-    val baseRows = methods.map { m =>
-      val (s, tSimp) = Experiments.time(m.simplify(db, w))
-      val (f1, tEval) = Experiments.time(ev.evaluate(s))
-      Console.err.println(f"[fig3] ${m.name}%-22s ${f1.fmt} (simplify $tSimp%.1fs eval $tEval%.1fs)")
-      (m.name, f1)
-    }
-
-    val rlRuns = Experiments.envInt("BENCH_RL_RUNS", 3)
-    val (rlSims, tRl) = Experiments.time(
-      Experiments.runRl4qdts(db, w, ev, BenchShared.agents, "data", rlRuns, seed = 31337))
-    val rlF1s = rlSims.map(ev.evaluate)
-    val rl = Experiments.TaskF1(
-      Quality.mean(rlF1s.map(_.range)), Quality.mean(rlF1s.map(_.knnEdr)),
-      Quality.mean(rlF1s.map(_.knnEmbed)), Quality.mean(rlF1s.map(_.similarity)),
-      Quality.mean(rlF1s.map(_.clustering)))
-    Console.err.println(f"[fig3] RL4QDTS ${rl.fmt} (${tRl / rlRuns}%.1fs/run)")
-
-    val allRows = baseRows :+ ("RL4QDTS", rl)
-    val rows = allRows.map { case (n, f) =>
-      Seq(n, f"${f.range}%.3f", f"${f.knnEdr}%.3f", f"${f.knnEmbed}%.3f",
-        f"${f.similarity}%.3f", f"${f.clustering}%.3f")
-    }
-    val out = Experiments.printTable(
-      s"Fig 3 (as table) — F1 at W=0.25%N, data distribution (${db.length} trajs)",
-      Seq("method", "range", "kNN-EDR", "kNN-emb", "similarity", "clustering"), rows)
-    BenchShared.record(out)
+    val Figures.Fig3(table, baseRows, rl) = Figures.fig3(BenchShared)
+    BenchShared.record(table.print())
 
     // shape: RL4QDTS at or above the baseline skyline per task (tolerance for
     // run noise at repro scale)

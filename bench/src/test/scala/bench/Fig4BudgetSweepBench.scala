@@ -1,10 +1,7 @@
 package bench
 
 import repro.SparkSpec
-import repro.baselines.{BottomUp, TopDown}
-import repro.exp.Experiments
-import repro.queries.Quality
-import repro.traj.ErrorMeasures.{PED, SED}
+import repro.exp.Figures
 
 /** Fig. 4 (rendered as a table) — RL4QDTS vs the data-distribution skyline
   * baselines across storage budgets on Geolife, for all five query tasks
@@ -18,49 +15,11 @@ import repro.traj.ErrorMeasures.{PED, SED}
   */
 class Fig4BudgetSweepBench extends SparkSpec {
 
-  // the paper's data-distribution skyline (Section V-B(1))
-  private def skyline = Seq[(String, (Array[repro.core.Traj], Int) => repro.core.SimpleDB)](
-    ("Top-Down(E,PED)", (d, w) => TopDown.simplifyE(PED, d, w)),
-    ("Top-Down(W,PED)", (d, w) => TopDown.simplifyW(PED, d, w)),
-    ("Bottom-Up(W,PED)", (d, w) => BottomUp.simplifyW(PED, d, w)),
-    ("Bottom-Up(E,DAD)", (d, w) => BottomUp.simplifyE(repro.traj.ErrorMeasures.DAD, d, w)),
-    ("Bottom-Up(E,SED)", (d, w) => BottomUp.simplifyE(SED, d, w)))
-
-  private val budgets = Seq(0.0025, 0.005, 0.01, 0.02)
+  private val budgets = Figures.budgets
 
   test("Fig 4 (a-e analogue): budget sweep, data distribution, five tasks") {
-    val db = BenchShared.db
-    val ev = BenchShared.evalData
-    val rows = scala.collection.mutable.ArrayBuffer.empty[Seq[String]]
-    val rlByBudget = scala.collection.mutable.Map.empty[Double, Experiments.TaskF1]
-    val bestBaseRange = scala.collection.mutable.Map.empty[Double, Double]
-
-    for (b <- budgets) {
-      val w = math.max(2 * db.length + 10, (b * BenchShared.nPoints).toInt)
-      for ((name, f) <- skyline) {
-        val s = f(db, w)
-        val f1 = ev.evaluate(s)
-        bestBaseRange(b) = math.max(bestBaseRange.getOrElse(b, 0.0), f1.range)
-        rows += Seq(f"${b * 100}%.2f%%", name, f"${f1.range}%.3f", f"${f1.knnEdr}%.3f",
-          f"${f1.knnEmbed}%.3f", f"${f1.similarity}%.3f", f"${f1.clustering}%.3f")
-      }
-      val sims = Experiments.runRl4qdts(db, w, ev, BenchShared.agents, "data",
-        Experiments.envInt("BENCH_RL_RUNS", 3), seed = 5150 + (b * 1000).toInt)
-      val f1s = sims.map(ev.evaluate)
-      val rl = Experiments.TaskF1(
-        Quality.mean(f1s.map(_.range)), Quality.mean(f1s.map(_.knnEdr)),
-        Quality.mean(f1s.map(_.knnEmbed)), Quality.mean(f1s.map(_.similarity)),
-        Quality.mean(f1s.map(_.clustering)))
-      rlByBudget(b) = rl
-      rows += Seq(f"${b * 100}%.2f%%", "RL4QDTS", f"${rl.range}%.3f", f"${rl.knnEdr}%.3f",
-        f"${rl.knnEmbed}%.3f", f"${rl.similarity}%.3f", f"${rl.clustering}%.3f")
-    }
-
-    val out = Experiments.printTable(
-      "Fig 4 (as table) — budget sweep on Geolife-like, data distribution",
-      Seq("budget", "method", "range", "kNN-EDR", "kNN-emb", "similarity", "clustering"),
-      rows.toSeq)
-    BenchShared.record(out)
+    val Figures.Fig4Data(table, rlByBudget, bestBaseRange) = Figures.fig4Data(BenchShared)
+    BenchShared.record(table.print())
 
     // shape: RL4QDTS within/above the skyline on range F1 at every budget, and
     // F1 increases with the budget
@@ -71,37 +30,14 @@ class Fig4BudgetSweepBench extends SparkSpec {
   }
 
   test("Fig 4 (f-j analogue): range-query sweep, Gaussian distribution") {
-    val db = BenchShared.db
-    val ev = BenchShared.evalGauss
-    // the paper's Gaussian skyline: Bottom-Up(E,SED), RLTS+(E,SED),
-    // Bottom-Up(E,PED), Top-Down(E,PED) — RLTS+ comes from the trained pool
-    val gaussSkyline = Seq[(String, (Array[repro.core.Traj], Int) => repro.core.SimpleDB)](
-      ("Bottom-Up(E,SED)", (d, w) => BottomUp.simplifyE(SED, d, w)),
-      ("RLTS+(E,SED)", (d, w) => BenchShared.rlts(SED).simplifyE(d, w)),
-      ("Bottom-Up(E,PED)", (d, w) => BottomUp.simplifyE(PED, d, w)),
-      ("Top-Down(E,PED)", (d, w) => TopDown.simplifyE(PED, d, w)))
-
-    val rows = scala.collection.mutable.ArrayBuffer.empty[Seq[String]]
+    val Figures.Fig4Gauss(table, byBudget) = Figures.fig4Gauss(BenchShared)
     var ok = true
-    for (b <- budgets) {
-      val w = math.max(2 * db.length + 10, (b * BenchShared.nPoints).toInt)
-      val base = gaussSkyline.map { case (name, f) =>
-        val r = ev.rangeF1(f(db, w))
-        rows += Seq(f"${b * 100}%.2f%%", name, f"$r%.3f")
-        r
-      }
-      val sims = Experiments.runRl4qdts(db, w, ev, BenchShared.agents, "gaussian",
-        Experiments.envInt("BENCH_RL_RUNS", 3), seed = 616 + (b * 1000).toInt)
-      val rl = Quality.mean(sims.map(ev.rangeF1))
-      rows += Seq(f"${b * 100}%.2f%%", "RL4QDTS", f"$rl%.3f")
+    for ((b, rl, base) <- byBudget) {
       // the paper's gap is largest at tight budgets and methods converge as
       // the budget loosens; allow run noise at the converged end
       ok &= rl >= base.max - (if (b <= 0.005) 0.05 else 0.07)
     }
-    val out = Experiments.printTable(
-      "Fig 4 (as table) — range-query budget sweep, Gaussian distribution",
-      Seq("budget", "method", "range F1"), rows.toSeq)
-    BenchShared.record(out)
+    BenchShared.record(table.print())
     assert(ok, "RL4QDTS fell below the Gaussian skyline at some budget")
   }
 }

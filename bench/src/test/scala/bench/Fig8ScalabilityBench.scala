@@ -1,11 +1,7 @@
 package bench
 
 import repro.SparkSpec
-import repro.baselines.{BottomUp, TopDown}
-import repro.core.{Model, SimpleDB, Traj}
-import repro.data.TrajGen
-import repro.exp.Experiments
-import repro.traj.ErrorMeasures.{PED, SED}
+import repro.exp.Figures
 
 /** Fig. 8 (rendered as a table) — efficiency and scalability.
   *
@@ -19,40 +15,10 @@ import repro.traj.ErrorMeasures.{PED, SED}
   */
 class Fig8ScalabilityBench extends SparkSpec {
 
-  private def methods(agents: repro.core.Training.TrainedAgents, workload: Array[repro.core.Box]) =
-    Seq[(String, (Array[Traj], Int) => SimpleDB)](
-      ("Top-Down(E,PED)", (d, w) => TopDown.simplifyE(PED, d, w)),
-      ("Top-Down(W,PED)", (d, w) => TopDown.simplifyW(PED, d, w)),
-      ("Bottom-Up(E,SED)", (d, w) => BottomUp.simplifyE(SED, d, w)),
-      ("Bottom-Up(W,PED)", (d, w) => BottomUp.simplifyW(PED, d, w)),
-      ("RL4QDTS", (d, w) => repro.core.RL4QDTS.simplify(
-        d, w, workload, agents.cubeNet, agents.pointNet,
-        // density-adaptive S, as the paper scales S with database size
-        Experiments.paramsFor(Model.totalPoints(d)), seed = 1)))
-
   test("Fig 8(a): running time vs database size N (fixed r = 2%)") {
-    val sizes = Seq(100, 200, 400, 800).map(n => n * Experiments.envInt("BENCH_SCALE", 1))
-    val agents = BenchShared.agents
-    val rows = scala.collection.mutable.ArrayBuffer.empty[Seq[String]]
-    val timesByMethod = scala.collection.mutable.Map.empty[String, List[Double]].withDefaultValue(Nil)
-
-    for (nTrajs <- sizes) {
-      val db = TrajGen.genLocal(TrajGen.osm, nTrajs, seed = 777)
-      val n = Model.totalPoints(db)
-      val w = math.max(2 * db.length + 10, (0.02 * n).toInt)
-      val (_, _, _, _, tmin, tmax) = Model.bounds(db)
-      val wl = repro.queries.Workload.dataDist(db, 100, 2000, math.max(tmax - tmin, 1.0), 778)
-      for ((name, f) <- methods(agents, wl)) {
-        val (s, t) = Experiments.time(f(db, w))
-        assert(s.totalPoints <= w + db.length)
-        timesByMethod(name) = timesByMethod(name) :+ t
-        rows += Seq(s"$n", name, f"$t%.2f")
-      }
-    }
-    val out = Experiments.printTable(
-      "Fig 8(a) (as table) — time (s) vs N on OSM-like, r=2%",
-      Seq("N (points)", "method", "time (s)"), rows.toSeq)
-    BenchShared.record(out)
+    val Figures.Fig8a(table, timesByMethod, runs) = Figures.fig8a(BenchShared)
+    for (Figures.Run(db, w, s) <- runs) assert(s.totalPoints <= w + db.length)
+    BenchShared.record(table.print())
 
     // shape: every method scales superlinearly-bounded (time grows with N), and
     // RL4QDTS is faster than Bottom-Up(W) at the largest size
@@ -63,27 +29,9 @@ class Fig8ScalabilityBench extends SparkSpec {
   }
 
   test("Fig 8(b): running time vs budget W (fixed N)") {
-    val db = BenchShared.db
-    val n = BenchShared.nPoints
-    val agents = BenchShared.agents
-    val (_, _, _, _, tmin, tmax) = Model.bounds(db)
-    val wl = repro.queries.Workload.dataDist(db, 100, 2000, math.max(tmax - tmin, 1.0), 881)
-    val rows = scala.collection.mutable.ArrayBuffer.empty[Seq[String]]
-    val t = scala.collection.mutable.Map.empty[(String, Double), Double]
-
-    for (b <- Seq(0.0025, 0.005, 0.01, 0.02)) {
-      val w = math.max(2 * db.length + 10, (b * n).toInt)
-      for ((name, f) <- methods(agents, wl)) {
-        val (s, dt) = Experiments.time(f(db, w))
-        assert(s.totalPoints <= w + db.length)
-        t((name, b)) = dt
-        rows += Seq(f"${b * 100}%.2f%%", name, f"$dt%.2f")
-      }
-    }
-    val out = Experiments.printTable(
-      "Fig 8(b) (as table) — time (s) vs W on Geolife-like",
-      Seq("budget", "method", "time (s)"), rows.toSeq)
-    BenchShared.record(out)
+    val Figures.Fig8b(table, t, runs) = Figures.fig8b(BenchShared)
+    for (Figures.Run(db, w, s) <- runs) assert(s.totalPoints <= w + db.length)
+    BenchShared.record(table.print())
 
     // shape: RL4QDTS faster than Bottom-Up adaptations at tight budgets
     // (bottom-up must drop ~99% of points; insertion-based methods touch ~1%)

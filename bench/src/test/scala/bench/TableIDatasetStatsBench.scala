@@ -2,7 +2,7 @@ package bench
 
 import repro.SparkSpec
 import repro.data.TrajGen
-import repro.exp.Experiments
+import repro.exp.Figures
 
 /** Table I — dataset statistics. The paper reports the statistics of its four
   * real datasets; we report the statistics of the synthetic stand-in profiles
@@ -13,37 +13,11 @@ import repro.exp.Experiments
   */
 class TableIDatasetStatsBench extends SparkSpec {
 
-  // paper's Table I rows: (name, #trajs, total points, pts/traj, sampling, avg seg len)
-  private val paper = Seq(
-    ("Geolife", 17621L, 24876978L, 1412.0, "1s~5s", 9.96),
-    ("T-Drive", 10359L, 17740902L, 1713.0, "177s", 623.0),
-    ("Chengdu", 179756L, 32151865L, 178.0, "2s~4s", 25.0),
-    ("OSM", 513380L, 2913478785L, 5675.0, "53.5s", 180.0))
-
-  private val reproN = Map("geolife" -> 300, "tdrive" -> 200, "chengdu" -> 800, "osm" -> 200)
-
   test("Table I: generated dataset statistics vs paper") {
-    val rows = Seq("geolife", "tdrive", "chengdu", "osm").zip(paper).map {
-      case (name, (pName, pTr, pPts, pAvg, pSamp, pSeg)) =>
-        val profile = TrajGen.profiles(name)
-        val df = TrajGen.genDF(spark, profile, reproN(name), seed = 42).cache()
-        val s = TrajGen.stats(df)
-        df.unpersist()
-        Seq(pName,
-          s"$pTr / ${s.nTrajs}",
-          s"$pPts / ${s.totalPoints}",
-          f"$pAvg%.0f / ${s.avgPtsPerTraj}%.0f",
-          f"$pSamp / ${s.avgSamplingSec}%.1fs",
-          f"$pSeg%.1f / ${s.avgSegmentMeters}%.1f")
-    }
-    val out = Experiments.printTable("Table I — dataset statistics (paper / repro)",
-      Seq("dataset", "#trajs", "total pts", "pts/traj", "sampling", "seg len (m)"), rows)
-    BenchShared.record(out)
+    val Figures.TableI(table, stats) = Figures.table1(spark)
+    BenchShared.record(table.print())
 
     // shape assertions: orderings of the paper's Table I hold in the repro
-    val stats = Seq("geolife", "tdrive", "chengdu", "osm").map { n =>
-      n -> TrajGen.stats(TrajGen.genDF(spark, TrajGen.profiles(n), reproN(n), 42))
-    }.toMap
     assert(stats("chengdu").avgPtsPerTraj < stats("geolife").avgPtsPerTraj)
     assert(stats("osm").avgPtsPerTraj > stats("geolife").avgPtsPerTraj)
     assert(stats("tdrive").avgSamplingSec > stats("geolife").avgSamplingSec)

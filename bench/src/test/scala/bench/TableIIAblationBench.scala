@@ -1,9 +1,7 @@
 package bench
 
 import repro.SparkSpec
-import repro.core.RL4QDTS
-import repro.exp.Experiments
-import repro.queries.Quality
+import repro.exp.Figures
 
 /** Table II — ablation study for RL4QDTS (Geolife). Paper numbers (1.5M-point
   * Geolife sample, W = 0.25%N, 100 data-distribution range queries):
@@ -19,44 +17,9 @@ import repro.queries.Quality
   */
 class TableIIAblationBench extends SparkSpec {
 
-  private val paper = Seq(
-    ("RL4QDTS", 0.733, 0.018, 61.11),
-    ("w/o Agent-Cube", 0.673, 0.023, 50.32),
-    ("w/o Agent-Point", 0.716, 0.021, 59.31),
-    ("w/o Agent-Cube and Agent-Point", 0.641, 0.023, 48.18))
-
-  private val variants = Seq(
-    ("RL4QDTS", RL4QDTS.Variant(useCube = true, usePoint = true)),
-    ("w/o Agent-Cube", RL4QDTS.Variant(useCube = false, usePoint = true)),
-    ("w/o Agent-Point", RL4QDTS.Variant(useCube = true, usePoint = false)),
-    ("w/o Agent-Cube and Agent-Point", RL4QDTS.Variant(useCube = false, usePoint = false)))
-
   test("Table II: ablation of Agent-Cube and Agent-Point") {
-    val db = BenchShared.db
-    // The ablation contrasts query-aware cube sampling with data-distribution
-    // sampling. The repro evaluates under the Gaussian workload, where the two
-    // distributions genuinely differ — under the data workload the synthetic
-    // queries coincide with the data density and the contrast collapses at
-    // repro scale (see EXPERIMENTS.md).
-    val ev = BenchShared.evalGauss
-    val agents = BenchShared.agents
-    val w = math.max(2 * db.length + 10, (0.0025 * BenchShared.nPoints).toInt)
-    val runs = Experiments.envInt("BENCH_ABLATION_RUNS", 5)
-
-    val measured = variants.map { case (name, variant) =>
-      val (sims, t) = Experiments.time(
-        Experiments.runRl4qdts(db, w, ev, agents, "gaussian", runs, seed = 4242, variant = variant))
-      val f1s = sims.map(ev.rangeF1)
-      (name, Quality.mean(f1s), Quality.stddev(f1s), t / runs)
-    }
-
-    val rows = paper.zip(measured).map { case ((n, pf, ps, pt), (_, mf, ms, mt)) =>
-      Seq(n, f"$pf%.3f ± $ps%.3f", f"$mf%.3f ± $ms%.3f", f"$pt%.2f", f"$mt%.2f")
-    }
-    val out = Experiments.printTable(
-      "Table II — ablation (range-query F1, Gaussian workload)",
-      Seq("variant", "paper F1", "repro F1", "paper time (s)", "repro time (s)"), rows)
-    BenchShared.record(out)
+    val Figures.TableII(table, measured) = Figures.table2(BenchShared)
+    BenchShared.record(table.print())
 
     val f1 = measured.map(m => m._1 -> m._2).toMap
     val t = measured.map(m => m._1 -> m._4).toMap

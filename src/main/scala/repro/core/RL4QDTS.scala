@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.index.OctNode
 import repro.queries.Workload
 import repro.rl.{DQN, MLP, NetWeights}
 
@@ -12,46 +11,52 @@ import repro.rl.{DQN, MLP, NetWeights}
   * budget W is exhausted.
   *
   * `Variant` encodes the Table II ablations: without Agent-Cube the sampled
-  * start cube is returned directly (random cube by query distribution);
+  * start cube is returned directly (random cube by data distribution);
   * without Agent-Point the max-v_s candidate is inserted greedily.
   */
 object RL4QDTS {
 
   final case class Variant(useCube: Boolean = true, usePoint: Boolean = true) extends Serializable
 
-  /** Agent-Cube traversal (Algorithm 2) with a trained policy network. */
-  private def chooseCube(env: QdtsEnv, rng: java.util.Random, cubeNet: MLP,
-                         variant: Variant): OctNode = {
-    // w/o Agent-Cube: a random cube drawn from the *data* distribution is
-    // handed straight to Agent-Point (the paper's ablation setup)
+  /** How one agent picks its action: (state, valid-action mask) ⇒ action. */
+  type ActionRule = (Array[Double], Array[Boolean]) => Int
+
+  /** The trained policy's rule: the valid action with the largest Q-value. */
+  private def greedy(net: MLP): ActionRule = (s, mask) => DQN.maskedArgmax(net.forward(s), mask)
+
+  /** One MDP step, shared by training and inference: Agent-Cube descends the
+    * octree from a sampled start cube (Algorithm 2), Agent-Point picks one of
+    * the cube's top-K candidates (Algorithm 3), and that point is inserted
+    * into D'. The two rules pick the actions; training and inference differ
+    * only in them. Without Agent-Cube the start cube, drawn from the *data*
+    * distribution, is used as is (the paper's ablation setup); without
+    * Agent-Point the max-v_s candidate is inserted.
+    */
+  def step(env: QdtsEnv, rng: java.util.Random, variant: Variant,
+           cubeAction: ActionRule, pointAction: ActionRule): Unit = {
     var node = env.sampleStartNode(rng, byQuery = variant.useCube)
-    if (!variant.useCube) return node
-    var stop = false
+    var stop = !variant.useCube
     while (!stop && !node.isLeaf) {
-      val s = env.cubeState(node)
-      val mask = env.cubeMask(node)
-      val a = DQN.maskedArgmax(cubeNet.forward(s), mask)
+      val a = cubeAction(env.cubeState(node), env.cubeMask(node))
       if (a == 8) stop = true else node = node.children(a)
     }
-    node
-  }
-
-  /** Agent-Point choice (Algorithm 3) with a trained policy network. */
-  private def choosePoint(env: QdtsEnv, node: OctNode, pointNet: MLP,
-                          variant: Variant): env.Candidate = {
+    // the start cube and every child the mask admits have un-inserted points
     val cands = env.candidates(node)
     require(cands.nonEmpty, "chosen cube has no un-inserted points")
-    if (!variant.usePoint || cands.length == 1) cands(0) // greedy: max v_s
-    else {
-      val (s, mask) = env.pointState(node, cands)
-      val a = DQN.maskedArgmax(pointNet.forward(s), mask)
-      cands(math.min(a, cands.length - 1))
-    }
+    val c =
+      if (!variant.usePoint) cands(0)
+      else {
+        val (s, mask) = env.pointState(node, cands)
+        cands(pointAction(s, mask))
+      }
+    env.insertPoint(c.trajIdx, c.ptIdx)
   }
 
-  /** Simplify `db` to at most `totalBudget` points (Algorithm 1). The
-    * workload provides the octree's query-count statistics and start-level
-    * sampling distribution; at inference it is synthetic (Section IV-A).
+  /** Simplify `db` to `totalBudget` points, or to all N if fewer (Algorithm 1).
+    * Endpoints are always kept, so a budget below the endpoint count returns
+    * the endpoints only. The workload provides the octree's query-count
+    * statistics and start-level sampling distribution; at inference it is
+    * synthetic (Section IV-A).
     */
   def simplify(db: Array[Traj], totalBudget: Int, workload: Array[Box],
                cubeNet: MLP, pointNet: MLP, params: QdtsParams = QdtsParams(),
@@ -67,11 +72,9 @@ object RL4QDTS {
     val rng = new java.util.Random(seed)
     val n = Model.totalPoints(env.db)
     val target = math.min(totalBudget.toLong, n).toInt
-    while (env.insertedCount < target) {
-      val node = chooseCube(env, rng, cubeNet, variant)
-      val c = choosePoint(env, node, pointNet, variant)
-      env.insertPoint(c.trajIdx, c.ptIdx)
-    }
+    val cubeAction = greedy(cubeNet)
+    val pointAction = greedy(pointNet)
+    while (env.insertedCount < target) step(env, rng, variant, cubeAction, pointAction)
     env.result
   }
 
@@ -99,6 +102,7 @@ object RL4QDTS {
     val spark = points.sparkSession
     import spark.implicits._
     require(budgetFrac > 0 && budgetFrac <= 1, s"budget fraction $budgetFrac out of (0,1]")
+    require(nGroups > 0, s"nGroups must be positive, got $nGroups")
     Model.toTrajDS(points)
       .groupByKey(tr => math.floorMod(tr.id, nGroups.toLong))
       .flatMapGroups { (g, it) =>

@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
 import repro.data.TrajGen
 import repro.queries.Workload
 import repro.rl.{DQN, Transition}
@@ -82,13 +81,40 @@ object Training {
         agents.bestPoint = Some(agents.point.online.snapshot)
       }
     }
-    // transitions of the current Δ-window: (state, action, reward, nextState,
-    // nextMask, done) for Agent-Cube and (state, action, reward, mask) for
-    // Agent-Point. Only the *terminal* transition of a cube traversal carries
-    // a reward — a traversal leads to exactly one insertion, so paying every
-    // descend step would double-count it and bias the policy toward descending.
-    val pendCube = ArrayBuffer.empty[(Array[Double], Int, Double, Array[Double], Array[Boolean], Boolean)]
-    val pendPoint = ArrayBuffer.empty[(Array[Double], Int, Double, Array[Boolean])]
+    // Transitions are built as the step picks actions. A descend step's
+    // transition is complete once the next cube's state is seen; the last one
+    // of a traversal and the Agent-Point one wait for the insertion's reward.
+    // Only that terminal cube transition (the stop that led to the insertion)
+    // carries the reward: a traversal leads to exactly one insertion, so
+    // paying every descend step would double-count it and bias the policy
+    // toward descending.
+    var cubeS: Array[Double] = null
+    var cubeA = -1
+    var pointS: Array[Double] = null
+    var pointMask: Array[Boolean] = null
+    var pointA = -1
+    val cubeAction: RL4QDTS.ActionRule = { (s, mask) =>
+      if (cubeS != null) agents.cube.remember(Transition(cubeS, cubeA, 0.0, s, mask, done = false))
+      // stop-balanced ε-exploration: uniform random over 9 actions
+      // explores "stop" only 1/9 of the time, starving the terminal
+      // action of experience; sample it half the time instead
+      cubeA =
+        if (rng.nextDouble() < agents.cube.epsilon) {
+          if (rng.nextBoolean()) 8
+          else {
+            val kids = (0 until 8).filter(mask)
+            if (kids.isEmpty) 8 else kids(rng.nextInt(kids.length))
+          }
+        } else agents.cube.selectAction(s, mask, explore = false)
+      cubeS = s
+      cubeA
+    }
+    val pointAction: RL4QDTS.ActionRule = { (s, mask) =>
+      pointA = agents.point.selectAction(s, mask, explore = true)
+      pointS = s
+      pointMask = mask
+      pointA
+    }
 
     for (dbIdx <- 0 until cfg.nDbs) {
       val db = TrajGen.genLocal(cfg.profile, cfg.trajsPerDb, cfg.seed + 1000L * (dbIdx + 1))
@@ -108,15 +134,8 @@ object Training {
         val target = math.min(budget.toLong, n).toInt
 
         def flushWindow(): Unit = {
-          // move the window's transitions to replay and take learning steps —
-          // the paper's Δ-cadence of "perform the queries, acquire rewards"
-          pendCube.foreach { case (s, a, r, s2, m2, done) =>
-            agents.cube.remember(Transition(s, a, r, s2, m2, done))
-          }
-          pendPoint.foreach { case (s, a, r, m) =>
-            agents.point.remember(Transition(s, a, r, new Array[Double](s.length), m, done = true))
-          }
-          pendCube.clear(); pendPoint.clear()
+          // take learning steps on the replay memories — the paper's Δ-cadence
+          // of "perform the queries, acquire rewards"
           var i = 0
           while (i < cfg.trainStepsPerWindow) {
             agents.cube.trainStep(); agents.point.trainStep(); i += 1
@@ -129,59 +148,24 @@ object Training {
         }
 
         while (env.insertedCount < target) {
-          // ---- Agent-Cube traversal (ε-greedy) ----
-          var node = env.sampleStartNode(rng)
-          val steps = ArrayBuffer.empty[(Array[Double], Int, Array[Boolean])]
-          var stop = false
-          while (!stop && !node.isLeaf) {
-            val s = env.cubeState(node)
-            val mask = env.cubeMask(node)
-            // stop-balanced ε-exploration: uniform random over 9 actions
-            // explores "stop" only 1/9 of the time, starving the terminal
-            // action of experience; sample it half the time instead
-            val a =
-              if (rng.nextDouble() < agents.cube.epsilon) {
-                if (rng.nextBoolean()) 8
-                else {
-                  val kids = (0 until 8).filter(mask)
-                  if (kids.isEmpty) 8 else kids(rng.nextInt(kids.length))
-                }
-              } else agents.cube.selectAction(s, mask, explore = false)
-            steps += ((s, a, mask))
-            if (a == 8) stop = true else node = node.children(a)
+          val before = env.diff
+          RL4QDTS.step(env, rng, RL4QDTS.Variant(), cubeAction, pointAction)
+          // this insertion's own F1 improvement; the window's rewards
+          // telescope to the Eq. 10 window reward, so the accumulated
+          // objective of Eq. 11 is unchanged, but each decision of both
+          // agents is credited with the gain it actually produced
+          val r = (before - env.diff) * cfg.rewardScale
+          agents.point.remember(
+            Transition(pointS, pointA, r, new Array[Double](pointS.length), pointMask, done = true))
+          if (cubeS != null) {
+            agents.cube.remember(
+              Transition(cubeS, cubeA, r, new Array[Double](16), Array.fill(9)(false), done = true))
+            cubeS = null
           }
-          // ---- Agent-Point (ε-greedy) ----
-          val cands = env.candidates(node)
-          if (cands.nonEmpty) {
-            val (ps, pmask) = env.pointState(node, cands)
-            val pa = agents.point.selectAction(ps, pmask, explore = true)
-            val c = cands(math.min(pa, cands.length - 1))
-            // this insertion's own F1 improvement; the window's rewards
-            // telescope to the Eq. 10 window reward, so the accumulated
-            // objective of Eq. 11 is unchanged, but each decision of both
-            // agents is credited with the gain it actually produced
-            val before = env.diff
-            env.insertPoint(c.trajIdx, c.ptIdx)
-            val r = (before - env.diff) * cfg.rewardScale
-            pendPoint += ((ps, pa, r, pmask))
-            // chain the traversal's transitions; only the terminal one (the
-            // stop that led to this insertion) carries the reward
-            var i = 0
-            while (i < steps.length) {
-              val (s, a, _) = steps(i)
-              if (i + 1 < steps.length) {
-                val (s2, _, m2) = steps(i + 1)
-                pendCube += ((s, a, 0.0, s2, m2, false))
-              } else {
-                pendCube += ((s, a, r, new Array[Double](16), Array.fill(9)(false), true))
-              }
-              i += 1
-            }
-            sinceWindow += 1
-            if (sinceWindow >= cfg.params.delta) flushWindow()
-          }
+          sinceWindow += 1
+          if (sinceWindow >= cfg.params.delta) flushWindow()
         }
-        if (sinceWindow > 0 || pendCube.nonEmpty || pendPoint.nonEmpty) flushWindow()
+        if (sinceWindow > 0) flushWindow()
         validate()
       }
     }

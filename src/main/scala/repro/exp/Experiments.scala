@@ -1,15 +1,14 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.TrajGen
 import repro.baselines.{Baselines, RltsPlus}
 import repro.queries._
-import repro.rl.MLP
 import repro.traj.ErrorMeasures.Measure
 
-/** Shared experiment harness used by the `bench` suites (one per paper table)
-  * and the `jobs/` spark-submit entrypoints.
+/** Shared experiment harness: the bench database, training and evaluation
+  * that `Figures` (the paper's tables, run by the `bench` suites and the
+  * `jobs/` entrypoint `TableJob`) builds on.
   *
   * Scale: the paper benchmarks on ~1.5M-point databases; the repro default is
   * a ~110k-point Geolife-like database (override with env BENCH_TRAJS). The
@@ -186,7 +185,7 @@ object Experiments {
   }
 
   /** Run RL4QDTS with trained nets; convenience for benches. */
-  def runRl4qdts(db: Array[Traj], w: Int, ev: Evaluator, agents: Training.TrainedAgents,
+  def runRl4qdts(db: Array[Traj], w: Int, agents: Training.TrainedAgents,
                  workloadKind: String, runs: Int, seed: Long = 9999,
                  variant: RL4QDTS.Variant = RL4QDTS.Variant()): Seq[SimpleDB] = {
     val (_, _, _, _, tmin, tmax) = Model.bounds(db)

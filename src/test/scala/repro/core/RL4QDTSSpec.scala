@@ -66,6 +66,21 @@ class RL4QDTSSpec extends SparkSpec {
     }
   }
 
+  test("a budget below the endpoint count keeps exactly the endpoints") {
+    val (gen, wl) = setup()
+    // plus a one-point and a two-point trajectory
+    val db = gen :+ Traj(1000, Array(gen(0).points(0))) :+ Traj(1001, gen(1).points.take(2))
+    for (variant <- Seq(
+        RL4QDTS.Variant(useCube = true, usePoint = true),
+        RL4QDTS.Variant(useCube = false, usePoint = true),
+        RL4QDTS.Variant(useCube = true, usePoint = false));
+        w <- Seq(0, db.length)) {
+      val s = RL4QDTS.simplify(db, w, wl, agents.cubeNet, agents.pointNet, params, 5, variant)
+      for (tr <- db)
+        assert(s.kept(tr.id).toSeq === Model.endpoints(tr.length).toSeq, s"$variant w=$w traj ${tr.id}")
+    }
+  }
+
   test("more budget never hurts range-query F1 on the training workload") {
     val (db, wl) = setup(nTrajs = 12, seed = 9)
     val n = Model.totalPoints(db).toInt
@@ -148,6 +163,18 @@ class RL4QDTSSpec extends SparkSpec {
     intercept[IllegalArgumentException] {
       RL4QDTS.simplifySpark(df, 0.0, agents.cubeNet.snapshot,
         agents.pointNet.snapshot, params, 2, 5, 2000)
+    }
+  }
+
+  test("simplifySpark rejects a non-positive group count before planning") {
+    val (db, _) = setup(nTrajs = 2)
+    val df = Model.toDF(spark, db.toSeq)
+    for (nGroups <- Seq(0, -3)) {
+      val e = intercept[IllegalArgumentException] {
+        RL4QDTS.simplifySpark(df, 0.1, agents.cubeNet.snapshot,
+          agents.pointNet.snapshot, params, nGroups, 5, 2000)
+      }
+      assert(e.getMessage.contains("nGroups"))
     }
   }
 }

@@ -18,12 +18,13 @@ object Edr {
 
   def edr(a0: Array[Point], b0: Array[Point], eps: Double,
           maxLen: Int = DefaultMaxLen): Double = {
+    require(maxLen >= 2, s"EDR maxLen must be at least 2 (the endpoints), got $maxLen")
     val a = subsample(a0, maxLen); val b = subsample(b0, maxLen)
     val n = a.length; val m = b.length
     if (n == 0) return m.toDouble
     if (m == 0) return n.toDouble
     var prev = Array.tabulate(m + 1)(_.toDouble)
-    val cur = new Array[Double](m + 1)
+    var cur = new Array[Double](m + 1)
     var i = 1
     while (i <= n) {
       cur(0) = i.toDouble
@@ -34,9 +35,7 @@ object Edr {
         cur(j) = math.min(math.min(prev(j) + 1, cur(j - 1) + 1), prev(j - 1) + cost)
         j += 1
       }
-      val tmp = prev.clone()
-      Array.copy(cur, 0, prev, 0, m + 1)
-      Array.copy(tmp, 0, cur, 0, m + 1)
+      val done = cur; cur = prev; prev = done
       i += 1
     }
     prev(m)

@@ -1,8 +1,10 @@
 package repro.exp
 
 import repro.SparkSpec
+import repro.baselines.TopDown
 import repro.core.Model
 import repro.data.TrajGen
+import repro.traj.ErrorMeasures
 
 /** Tests of the shared experiment harness (evaluator, adaptive parameters,
   * table rendering) that the bench suites build on.
@@ -57,6 +59,25 @@ class ExperimentsSpec extends SparkSpec {
     val identity = repro.core.SimpleDB(db.map(t => t.id -> Array.tabulate(t.length)(i => i)).toMap)
     assert(ev.meanSedOfReturned(identity) === 0.0)
     assert(ev.meanSedOfReturned(Model.firstLast(db)) > 0.0)
+  }
+
+  test("evaluate returns the pinned F1 bits on the 30-trajectory bench DB") {
+    val src = scala.io.Source.fromResource("repro/exp/evaluate_pins.txt")
+    val pins = try src.getLines().filterNot(_.startsWith("#")).toVector finally src.close()
+    assert(pins.length === 4)
+    val bench = Experiments.benchDb(nTrajs = 30)
+    val ev = new Experiments.Evaluator(bench, "data")
+    for (line <- pins) {
+      val Array(method, frac, bits @ _*) = line.split(" ")
+      val s =
+        if (method == "endpoints") Model.firstLast(bench)
+        else TopDown.simplifyW(ErrorMeasures.byName(method), bench,
+          (frac.toDouble * Model.totalPoints(bench)).toInt)
+      val f = ev.evaluate(s)
+      val got = Seq(f.range, f.knnEdr, f.knnEmbed, f.similarity, f.clustering)
+        .map(v => java.lang.Long.toHexString(java.lang.Double.doubleToRawLongBits(v)))
+      assert(got === bits, s"$method $frac: ${f.fmt}")
+    }
   }
 
   test("printTable renders all rows and columns") {

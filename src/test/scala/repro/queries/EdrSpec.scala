@@ -77,6 +77,31 @@ class EdrSpec extends SparkSpec with PropSupport {
     assert(Edr.subsample(a, 10) eq a)
   }
 
+  test("maxLen below 2 is rejected with a clear message") {
+    val a = pts((0, 0), (1, 1), (2, 2))
+    for (maxLen <- Seq(1, 0, -3)) {
+      val e = intercept[IllegalArgumentException](Edr.edr(a, a, 0.1, maxLen))
+      assert(e.getMessage.contains("maxLen"))
+    }
+  }
+
+  test("the two-row DP equals the full DP matrix") {
+    def full(a: Array[Point], b: Array[Point], eps: Double): Double = {
+      val d = Array.tabulate(a.length + 1, b.length + 1)((i, j) => if (i == 0) j.toDouble else if (j == 0) i.toDouble else 0.0)
+      for (i <- 1 to a.length; j <- 1 to b.length) {
+        val cost = if (math.abs(a(i - 1).x - b(j - 1).x) <= eps && math.abs(a(i - 1).y - b(j - 1).y) <= eps) 0.0 else 1.0
+        d(i)(j) = math.min(math.min(d(i - 1)(j) + 1, d(i)(j - 1) + 1), d(i - 1)(j - 1) + cost)
+      }
+      d(a.length)(b.length)
+    }
+    forAllN2(Gen.chooseNum(0, 30), Gen.chooseNum(0, 30), 60) { (n, m) =>
+      val rng = new java.util.Random(n * 131 + m)
+      val a = Array.fill(n)(Point(rng.nextInt(6).toDouble, rng.nextInt(6).toDouble, 0))
+      val b = Array.fill(m)(Point(rng.nextInt(6).toDouble, rng.nextInt(6).toDouble, 0))
+      assert(Edr.edr(a, b, 1.0) === full(a, b, 1.0))
+    }
+  }
+
   test("maxLen caps the DP size without changing short-sequence results") {
     val a = pts((0, 0), (1, 1), (2, 2))
     val b = pts((0, 0), (9, 9), (2, 2))

@@ -1,13 +1,15 @@
 package repro.queries
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropSupport, SparkSpec}
 import repro.core.{Point, Traj}
+import repro.data.TrajGen
 import repro.queries.Traclus.Seg
 
 /** TRACLUS-lite clustering tests: partitioning, segment distance, DBSCAN,
   * and the pairs result set.
   */
-class TraclusSpec extends SparkSpec {
+class TraclusSpec extends SparkSpec with PropSupport {
 
   test("characteristic points of a straight line are its endpoints") {
     val tr = Traj(0, Array.tabulate(10)(i => Point(i, 0, i)))
@@ -88,5 +90,147 @@ class TraclusSpec extends SparkSpec {
 
   test("clusterPairs of an empty database is empty") {
     assert(Traclus.clusterPairs(Array.empty, 1.0, 10, 2) === Set.empty)
+  }
+
+  // --- the pruned DBSCAN against the naive all-pairs scan ---
+
+  /** Scale of the generated bundles: eps values near it sit on the boundary. */
+  private val unit = 10.0
+
+  /** Random segment sets: bundles of near-parallel segments offset by up to
+    * 2.5 units sideways or end to end (box gaps on both sides of eps and
+    * 2·eps), plus duplicates, equal-length integer segments, zero-length and
+    * sub-1e-6 segments, and NaN or infinite coordinates.
+    */
+  private val segSets: Gen[Array[Seg]] = for {
+    seed <- Gen.choose(0L, Long.MaxValue)
+    n <- Gen.chooseNum(0, 60)
+    origin <- Gen.oneOf(0.0, 1e4, -3.7e5)
+  } yield {
+    val rng = new java.util.Random(seed)
+    def u(lo: Double, hi: Double) = lo + (hi - lo) * rng.nextDouble()
+    val out = scala.collection.mutable.ArrayBuffer.empty[Seg]
+    var i = 0
+    while (i < n) {
+      val x0 = origin + u(-6, 6) * unit; val y0 = origin + u(-6, 6) * unit
+      val th = u(0, 2 * math.Pi); val len = u(0.2, 4) * unit
+      val members = 1 + rng.nextInt(6)
+      var k = 0
+      while (k < members && i < n) {
+        val t = th + u(-0.3, 0.3) * (if (rng.nextBoolean()) 1 else 0)
+        val l = len * u(0.7, 1.3)
+        val r = u(0, 2.5) * unit; val side = u(0, 2 * math.Pi)
+        val (ox, oy) = rng.nextInt(3) match {
+          case 0 => (r * math.cos(side), r * math.sin(side))                  // sideways
+          case 1 => ((len + r) * math.cos(th), (len + r) * math.sin(th))      // end to end
+          case _ => (0.0, 0.0)
+        }
+        val ax = x0 + ox; val ay = y0 + oy
+        val seg = rng.nextInt(12) match {
+          case 0 if i > 0 => out(rng.nextInt(i)).copy(trajId = i) // duplicate
+          case 1 => // integer coordinates: equal lengths for equal (dx, dy)
+            val ix = math.rint(ax); val iy = math.rint(ay)
+            Seg(i, Point(ix, iy, 0), Point(ix + 3 * unit, iy + 4 * unit, 0))
+          case 2 => Seg(i, Point(ax, ay, 0), Point(ax, ay, 0))
+          case 3 => Seg(i, Point(ax, ay, 0), Point(ax + 5e-7, ay - 3e-7, 0))
+          case 4 if rng.nextInt(4) == 0 =>
+            val bad = Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)(rng.nextInt(3))
+            if (rng.nextBoolean()) Seg(i, Point(bad, ay, 0), Point(ax, ay + l, 0))
+            else Seg(i, Point(ax, ay, 0), Point(ax + l, bad, 0))
+          case _ => Seg(i, Point(ax, ay, 0), Point(ax + l * math.cos(t), ay + l * math.sin(t), 0))
+        }
+        out += seg
+        i += 1; k += 1
+      }
+    }
+    out.toArray
+  }
+
+  private val epsValues: Gen[Double] = Gen.oneOf(
+    Gen.const(0.0), Gen.const(-1.0), Gen.const(Double.NaN), Gen.const(1e300),
+    Gen.const(Double.PositiveInfinity), Gen.const(unit), Gen.choose(0.3 * unit, 2.5 * unit))
+
+  private def boxGap(s1: Seg, s2: Seg): Double = {
+    def gap(a1: Double, b1: Double, a2: Double, b2: Double) =
+      math.max(0.0, math.max(math.min(a2, b2) - math.max(a1, b1), math.min(a1, b1) - math.max(a2, b2)))
+    math.hypot(gap(s1.a.x, s1.b.x, s2.a.x, s2.b.x), gap(s1.a.y, s1.b.y, s2.a.y, s2.b.y))
+  }
+
+  test("dbscan equals the naive all-pairs dbscanReference on random segment sets") {
+    var between = 0 // pairs with a box gap in (eps, 2·eps]
+    var farNeighbours = 0 // neighbours with a box gap above eps / 2
+    forAllN3(segSets, epsValues, Gen.oneOf(0, 1, 2, 3, 5), 400) { (segs, eps, minLns) =>
+      assert(Traclus.dbscan(segs, eps, minLns).toSeq ===
+        Traclus.dbscanReference(segs, eps, minLns).toSeq, s"eps=$eps minLns=$minLns n=${segs.length}")
+      if (eps > 0 && eps < unit * 10)
+        for (s1 <- segs; s2 <- segs) {
+          val g = boxGap(s1, s2)
+          if (g > eps && g <= 2 * eps) between += 1
+          if (g > eps / 2 && Traclus.segDist(s1, s2) <= eps) farNeighbours += 1
+        }
+    }
+    assert(between > 1000 && farNeighbours > 100, s"between=$between farNeighbours=$farNeighbours")
+  }
+
+  test("clusterPairs equals the naive grouping on generated databases") {
+    val bench = repro.exp.Experiments.benchProfile.copy(avgLen = 300)
+    for ((profile, seed) <- Seq(bench -> 3L, TrajGen.chengdu -> 4L); eps <- Seq(700.0, 1500.0)) {
+      val db = TrajGen.genLocal(profile, 80, seed)
+      val segs = Traclus.partition(db, tol = 100.0)
+      val ref = Traclus.dbscanReference(segs, eps, minLns = 3)
+      assert(Traclus.dbscan(segs, eps, minLns = 3).toSeq === ref.toSeq, s"${profile.name} eps=$eps")
+      val pairs = Traclus.clusterPairs(db, 100.0, eps, 3)
+      assert(pairs === Traclus.coClustered(segs, ref))
+      assert(pairs.nonEmpty, s"${profile.name} eps=$eps")
+    }
+  }
+
+  /** `segDist` as it was written before the primitive kernel. */
+  private def segDistInline(s1: Seg, s2: Seg): Double = {
+    val (li, lj) = if (s1.len >= s2.len) (s1, s2) else (s2, s1)
+    val dx = li.b.x - li.a.x; val dy = li.b.y - li.a.y
+    val len2 = math.max(dx * dx + dy * dy, 1e-12)
+    def proj(p: Point): (Double, Double) = {
+      val u = ((p.x - li.a.x) * dx + (p.y - li.a.y) * dy) / len2
+      val px = li.a.x + u * dx; val py = li.a.y + u * dy
+      (u, math.hypot(p.x - px, p.y - py))
+    }
+    val (u1, l1) = proj(lj.a); val (u2, l2) = proj(lj.b)
+    val dPerp = if (l1 + l2 == 0) 0.0 else (l1 * l1 + l2 * l2) / (l1 + l2)
+    val liLen = math.sqrt(len2)
+    val par1 = math.min(math.abs(u1), math.abs(u1 - 1)) * liLen
+    val par2 = math.min(math.abs(u2), math.abs(u2 - 1)) * liLen
+    val dPar = math.min(par1, par2)
+    val dAng = {
+      import repro.traj.ErrorMeasures.{angle, angleDiff}
+      (angle(li.a, li.b), angle(lj.a, lj.b)) match {
+        case (Some(t1), Some(t2)) =>
+          val th = angleDiff(t1, t2)
+          if (th >= math.Pi / 2) lj.len else lj.len * math.sin(th)
+        case _ => 0.0
+      }
+    }
+    dPerp + dPar + dAng
+  }
+
+  test("segDist has the same bits as the formula it replaced") {
+    forAllN(segSets, 200) { segs =>
+      for (s1 <- segs; s2 <- segs) {
+        val (got, want) = (Traclus.segDist(s1, s2), segDistInline(s1, s2))
+        assert(java.lang.Double.doubleToLongBits(got) === java.lang.Double.doubleToLongBits(want),
+          s"$s1 $s2: $got vs $want")
+      }
+    }
+  }
+
+  test("segDist is not bit-symmetric for equal lengths, and dbscan keeps the argument order") {
+    // equal lengths: the first argument is the reference segment
+    val s1 = Seg(0, Point(0, 0, 0), Point(30, 40, 0))
+    val s2 = Seg(1, Point(7, -3, 0), Point(7 + 40, -3 + 30, 0))
+    assert(s1.len === s2.len)
+    assert(Traclus.segDist(s1, s2) !== Traclus.segDist(s2, s1))
+    val eps = math.min(Traclus.segDist(s1, s2), Traclus.segDist(s2, s1))
+    val segs = Array(s1, s2, s1.copy(trajId = 2), s2.copy(trajId = 3))
+    assert(Traclus.dbscan(segs, eps, 3).toSeq === Traclus.dbscanReference(segs, eps, 3).toSeq)
   }
 }

@@ -132,9 +132,9 @@ object Model {
   def firstLast(db: Array[Traj]): SimpleDB = SimpleDB(db.map(t => t.id -> endpoints(t.length)).toMap)
 
   /** Indices of the first and last point of a trajectory of `len` points,
-    * without repeating index 0 when there is only one.
+    * without repeating index 0 when there is only one; none when it is empty.
     */
-  def endpoints(len: Int): Array[Int] = if (len <= 1) Array(0) else Array(0, len - 1)
+  def endpoints(len: Int): Array[Int] = if (len <= 1) Array.range(0, len) else Array(0, len - 1)
 
   /** Total number of points in a database. */
   def totalPoints(db: Array[Traj]): Long = db.map(_.length.toLong).sum

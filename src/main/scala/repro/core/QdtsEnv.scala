@@ -21,12 +21,16 @@ final case class QdtsParams(
   * `diff(Q(D),Q(D')) − diff(Q(D),Q(D''))` costs O(#queries) per insertion
   * instead of re-running the workload.
   *
-  * Every point's (v_s, v_t) of Eq. 6 is cached. An insertion into trajectory
-  * `ti` changes the anchor segment only of `ti`'s points between the new
-  * point's two neighbouring anchors, so it refreshes just those: one
-  * insertion costs O(#queries + anchor segment). Gathering a cube's
-  * candidates is then one primitive pass over the cube's range of
-  * `Octree.flat`, reading cached values.
+  * Per-point state lives in `Octree.flat` order: flat index `f` is point
+  * `Octree.ptOf(flat(f))` of trajectory `trajF(f)`, `inserted(f)` says
+  * whether it is in D', and `vs(f)`/`vt(f)` cache its (v_s, v_t) of Eq. 6;
+  * `pos(ti)(pi)` maps a point back to its flat index. An insertion into
+  * trajectory `ti` changes the anchor segment only of `ti`'s points between
+  * the new point's two neighbouring anchors, so it refreshes just those: one
+  * insertion costs O(#queries + octree depth + anchor segment). Gathering a
+  * cube's candidates is one sequential pass over the cube's `[lo, hi)` of
+  * these arrays plus a top-K insertion over the trajectories seen. The range
+  * ground truth comes from the octree (`Octree.trajsIn`).
   *
   * Training builds one env per database and calls `reset()` at the start
   * of every episode; inference (`RL4QDTS.simplify`) resets it before each
@@ -40,22 +44,42 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
   // the octree's shape is fixed after the build, so the start-level frontier is too
   private val startFrontier: IndexedSeq[OctNode] = octree.frontierAtLevel(params.startLevel)
 
-  private val inserted: Array[Array[Boolean]] = db.map(tr => new Array[Boolean](tr.length))
+  // ---- per-point state, indexed by position in `octree.flat` ----
+  private val trajF: Array[Int] = new Array[Int](octree.flat.length)
+  private val pos: Array[Array[Int]] = db.map(tr => new Array[Int](tr.length))
+  fillLayout()
+
+  /** Fill `trajF` and `pos` from `octree.flat`. A method rather than
+    * constructor code so that the JIT compiles the loop: in the constructor
+    * body it took ~5x as long on the bench database.
+    */
+  private def fillLayout(): Unit = {
+    val flat = octree.flat
+    var f = 0
+    while (f < flat.length) {
+      val ti = Octree.trajOf(flat(f))
+      trajF(f) = ti
+      pos(ti)(Octree.ptOf(flat(f))) = f
+      f += 1
+    }
+  }
+
+  private val inserted: Array[Boolean] = new Array[Boolean](trajF.length)
   // (v_s, v_t) of every point w.r.t. its current anchor segment; meaningful
   // for un-inserted points once both endpoints of the trajectory are in D'
-  private val vs: Array[Array[Double]] = db.map(tr => new Array[Double](tr.length))
-  private val vt: Array[Array[Double]] = db.map(tr => new Array[Double](tr.length))
-  // scratch of `candidates`: best point per trajectory (-1 = none yet) and
-  // the trajectories seen, reset after every call
-  private val bestPt: Array[Int] = Array.fill(db.length)(-1)
+  private val vs: Array[Double] = new Array[Double](trajF.length)
+  private val vt: Array[Double] = new Array[Double](trajF.length)
+  // scratch of `candidates`: flat index of the best point per trajectory
+  // (-1 = none yet), the trajectories seen (reset after every call), and
+  // the top-K slots
+  private val best: Array[Int] = Array.fill(db.length)(-1)
   private val touched: Array[Int] = new Array[Int](db.length)
+  private val top: Array[Int] = new Array[Int](params.k)
   private var nInserted: Int = 0
 
   // ---- incremental F1 over the range-query workload ----
   // ground truth on the original database
-  private val gt: Array[Array[Boolean]] = workload.map { q =>
-    db.map(tr => tr.points.exists(q.contains))
-  }
+  private val gt: Array[Array[Boolean]] = workload.map(octree.trajsIn)
   private val gtSize: Array[Int] = gt.map(_.count(identity))
   // current state on the simplified database
   private val inBox: Array[Array[Boolean]] = workload.map(_ => new Array[Boolean](db.length))
@@ -76,16 +100,13 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     // every other field is a function of the inserted set, and insertions
     // only add: endpoints-only already holds when that many are inserted
     if (nInserted == nEndpoints) return
-    inserted.foreach(java.util.Arrays.fill(_, false))
+    java.util.Arrays.fill(inserted, false)
     inBox.foreach(java.util.Arrays.fill(_, false))
     java.util.Arrays.fill(rsSize, 0)
     java.util.Arrays.fill(matched, 0)
     nInserted = 0
     octree.resetRemaining()
-    for (ti <- db.indices) {
-      insertPoint(ti, 0)
-      if (db(ti).length > 1) insertPoint(ti, db(ti).length - 1)
-    }
+    for (ti <- db.indices; pi <- Model.endpoints(db(ti).length)) insertPoint(ti, pi)
   }
 
   /** Insert point `pi` of trajectory `ti` into D'. Returns false if it was
@@ -94,14 +115,14 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     * F1 state of every workload query.
     */
   def insertPoint(ti: Int, pi: Int): Boolean = {
-    val flags = inserted(ti)
-    if (flags(pi)) return false
-    flags(pi) = true
+    val f = pos(ti)(pi)
+    if (inserted(f)) return false
+    inserted(f) = true
     nInserted += 1
     val a = prevAnchor(ti, pi)
     val b = nextAnchor(ti, pi)
     if (a >= 0) refresh(ti, a, pi)
-    if (b < flags.length) refresh(ti, pi, b)
+    if (b < db(ti).length) refresh(ti, pi, b)
     val p = db(ti).points(pi)
     octree.markInserted(p)
     var qi = 0
@@ -118,28 +139,28 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
 
   /** Nearest inserted index of trajectory `ti` before `pi`, or -1. */
   private def prevAnchor(ti: Int, pi: Int): Int = {
-    val flags = inserted(ti)
+    val ps = pos(ti)
     var a = pi - 1
-    while (a >= 0 && !flags(a)) a -= 1
+    while (a >= 0 && !inserted(ps(a))) a -= 1
     a
   }
 
   /** Nearest inserted index of trajectory `ti` after `pi`, or its length. */
   private def nextAnchor(ti: Int, pi: Int): Int = {
-    val flags = inserted(ti)
+    val ps = pos(ti)
     var b = pi + 1
-    while (b < flags.length && !flags(b)) b += 1
+    while (b < ps.length && !inserted(ps(b))) b += 1
     b
   }
 
   /** Recompute the cached values of the points strictly between anchors `a` and `b`. */
   private def refresh(ti: Int, a: Int, b: Int): Unit = {
-    val pts = db(ti).points
+    val pts = db(ti).points; val ps = pos(ti)
     val pa = pts(a); val pb = pts(b)
     var i = a + 1
     while (i < b) {
-      vs(ti)(i) = ErrorMeasures.sed(pa, pb, pts(i))
-      vt(ti)(i) = temporalValue(pa, pb, pts(i))
+      vs(ps(i)) = ErrorMeasures.sed(pa, pb, pts(i))
+      vt(ps(i)) = temporalValue(pa, pb, pts(i))
       i += 1
     }
   }
@@ -242,33 +263,46 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     * across trajectories the lower `trajIdx` comes first.
     */
   def candidates(node: OctNode): Array[Candidate] = {
-    val flat = octree.flat
     var nTouched = 0
     var i = node.lo
     while (i < node.hi) {
-      val ti = Octree.trajOf(flat(i)); val pi = Octree.ptOf(flat(i))
-      if (!inserted(ti)(pi)) {
-        val b = bestPt(ti)
+      if (!inserted(i)) {
+        val ti = trajF(i)
+        val b = best(ti)
         // an earlier point stays unless it is not >= the new one: the
         // reference scan's keep test, NaN included
-        if (b < 0) { bestPt(ti) = pi; touched(nTouched) = ti; nTouched += 1 }
-        else if (!(vs(ti)(b) >= vs(ti)(pi))) bestPt(ti) = pi
+        if (b < 0) { best(ti) = i; touched(nTouched) = ti; nTouched += 1 }
+        else if (!(vs(b) >= vs(i))) best(ti) = i
       }
       i += 1
     }
-    val top = touched.take(nTouched).sortWith(ranksBefore).take(params.k)
-    val out = top.map { ti =>
-      val pi = bestPt(ti)
-      Candidate(ti, pi, vs(ti)(pi), vt(ti)(pi))
-    }
+    // insert each trajectory into the sorted top-K slots; `ranksBefore` is a
+    // strict total order, so this is the first K of the full sort
+    val k = params.k
+    var nTop = 0
     var j = 0
-    while (j < nTouched) { bestPt(touched(j)) = -1; j += 1 }
+    while (j < nTouched) {
+      val t = touched(j)
+      if (nTop < k || (k > 0 && ranksBefore(t, top(k - 1)))) {
+        var s = math.min(nTop, k - 1)
+        while (s > 0 && ranksBefore(t, top(s - 1))) { top(s) = top(s - 1); s -= 1 }
+        top(s) = t
+        if (nTop < k) nTop += 1
+      }
+      j += 1
+    }
+    val out = Array.tabulate(nTop) { s =>
+      val f = best(top(s))
+      Candidate(top(s), Octree.ptOf(octree.flat(f)), vs(f), vt(f))
+    }
+    j = 0
+    while (j < nTouched) { best(touched(j)) = -1; j += 1 }
     out
   }
 
   /** Candidate order of trajectories `a` and `b` by their best points: (−v_s, trajIdx). */
   private def ranksBefore(a: Int, b: Int): Boolean = {
-    val c = java.lang.Double.compare(-vs(a)(bestPt(a)), -vs(b)(bestPt(b)))
+    val c = java.lang.Double.compare(-vs(best(a)), -vs(best(b)))
     c < 0 || (c == 0 && a < b)
   }
 
@@ -281,7 +315,7 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     val it = octree.pointsIn(node)
     while (it.hasNext) {
       val (ti, pi) = it.next()
-      if (!inserted(ti)(pi)) {
+      if (!isInserted(ti, pi)) {
         val (pvs, pvt) = pointValues(ti, pi)
         best.get(ti) match {
           case Some(c) if c.vs >= pvs => ()
@@ -336,10 +370,13 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
 
   /** Kept indices of trajectory `ti`, ascending. */
   private[core] def keptIndices(ti: Int): Array[Int] =
-    inserted(ti).indices.filter(inserted(ti)).toArray
+    pos(ti).indices.filter(isInserted(ti, _)).toArray
 
   /** The cached (v_s, v_t) of a point (test support). */
-  private[core] def cachedValues(ti: Int, pi: Int): (Double, Double) = (vs(ti)(pi), vt(ti)(pi))
+  private[core] def cachedValues(ti: Int, pi: Int): (Double, Double) = {
+    val f = pos(ti)(pi)
+    (vs(f), vt(f))
+  }
 
-  private[core] def isInserted(ti: Int, pi: Int): Boolean = inserted(ti)(pi)
+  private[core] def isInserted(ti: Int, pi: Int): Boolean = inserted(pos(ti)(pi))
 }

@@ -3,6 +3,7 @@ package repro.exp
 import repro.core._
 import repro.data.TrajGen
 import repro.baselines.{Baselines, RltsPlus}
+import repro.index.Octree
 import repro.queries._
 import repro.traj.ErrorMeasures.Measure
 
@@ -101,13 +102,18 @@ object Experiments {
     // --- range queries (paper: 2km x 2km x 7 days ~= the whole span) ---
     // rejection-sample to non-empty ground truths: data-distribution queries
     // are non-empty by construction, and empty-result queries score F1=1 for
-    // every method, only diluting the measure
+    // every method, only diluting the measure. Both scans are answered from
+    // an octree over `db`, with the same result as `RangeQuery.inMemory`
+    private val rangeIndex = new Octree(db, QdtsParams().maxLevel, QdtsParams().leafCap)
     val rangeQs: Array[Box] = {
       val raw = Workload.generate(workloadKind, db, nRange * 4, 2000.0, span, seed)
-      val nonEmpty = raw.filter(q => RangeQuery.inMemory(db, q).nonEmpty)
+      val nonEmpty = raw.filter(q => rangeIndex.trajsIn(q).contains(true))
       (if (nonEmpty.length >= nRange) nonEmpty else raw).take(nRange)
     }
-    private val rangeGt: Array[Set[Long]] = rangeQs.map(RangeQuery.inMemory(db, _))
+    private val rangeGt: Array[Set[Long]] = rangeQs.map { q =>
+      val hit = rangeIndex.trajsIn(q)
+      db.indices.iterator.filter(hit).map(db(_).id).toSet
+    }
 
     // --- kNN queries: sampled query trajectories over their own windows ---
     private val rng = new java.util.Random(seed + 1)

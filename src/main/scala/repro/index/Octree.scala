@@ -151,6 +151,51 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
     out.toIndexedSeq
   }
 
+  /** The trajectories with a point in query box `q`: entry `ti` is true iff
+    * `q.contains(p)` for some point `p` of `db(ti)`, exactly as a full scan
+    * (`RangeQuery.inMemory`) finds them. Visits only nodes whose box is not
+    * provably disjoint from `q` and tests their leaves' points with
+    * `q.contains`.
+    *
+    * Exactness: a node is pruned only when one of its six separation
+    * comparisons (`b.xmax < q.xmin`, `b.xmin > q.xmax`, and the same for y
+    * and t) is true; a NaN bound makes its comparisons false, so it never
+    * prunes. Let `q.contains(p)`; then no coordinate of `p` is NaN. Claim: on
+    * `p`'s root-to-leaf path, in each dimension every lower bound is NaN or
+    * `<= p` and every upper bound is NaN or `>= p`.
+    *  - Root: `Model.bounds`' minima are `<=` and its maxima `>=` every
+    *    non-NaN coordinate, `p`'s among them, and the widening adds a
+    *    positive amount (or NaN) to the maxima.
+    *  - Step: with midpoint `m` (the same in `childIndex` and
+    *    `childBox`), the build and `split` route `p` to the upper half
+    *    `[m, max]` only if `p >= m`, and otherwise to the lower half
+    *    `[min, m]`, where `p < m` or `m` is NaN. The child inherits the
+    *    other bound.
+    * So for a node `b` on the path, `b.xmax < q.xmin` would need
+    * `p.x <= b.xmax < q.xmin`, contradicting `q.contains(p)`; likewise for
+    * the other five. No node on `p`'s path is pruned, and its leaf tests `p`.
+    */
+  def trajsIn(q: Box): Array[Boolean] = {
+    val hit = new Array[Boolean](db.length)
+    def visit(n: OctNode): Unit = {
+      val b = n.box
+      val disjoint = b.xmax < q.xmin || b.xmin > q.xmax || b.ymax < q.ymin ||
+        b.ymin > q.ymax || b.tmax < q.tmin || b.tmin > q.tmax
+      if (!disjoint) {
+        if (n.isLeaf) {
+          var i = n.lo
+          while (i < n.hi) {
+            val ti = Octree.trajOf(flat(i))
+            if (!hit(ti) && q.contains(db(ti).points(Octree.ptOf(flat(i))))) hit(ti) = true
+            i += 1
+          }
+        } else n.children.foreach(visit)
+      }
+    }
+    visit(root)
+    hit
+  }
+
   /** All (trajIdx, ptIdx) pairs in the subtree of `n`, in `flat` order. */
   def pointsIn(n: OctNode): Iterator[(Int, Int)] =
     Iterator.range(n.lo, n.hi).map(i => (Octree.trajOf(flat(i)), Octree.ptOf(flat(i))))

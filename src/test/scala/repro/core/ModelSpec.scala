@@ -115,5 +115,14 @@ class ModelSpec extends SparkSpec {
     assert(m(1).points.toSeq === Seq(single.points(0)))
   }
 
+  test("a zero-point trajectory has no endpoints and materialises empty") {
+    val empty = Traj(9, Array.empty[Point])
+    assert(Model.endpoints(0).isEmpty)
+    assert(Model.firstLast(Array(t1, empty)).kept(9L).isEmpty)
+    val m = SimpleDB(Map.empty).materialise(Array(t1, empty))
+    assert(m(1).points.isEmpty)
+    assert(Model.firstLast(Array(t1, empty)).materialise(Array(t1, empty))(1).points.isEmpty)
+  }
+
   test("totalPoints sums lengths") { assert(Model.totalPoints(db) === 6L) }
 }

@@ -165,6 +165,76 @@ class QdtsEnvSpec extends SparkSpec {
     }
   }
 
+  private def bits(d: Double): Long = java.lang.Double.doubleToLongBits(d)
+
+  private def candKey(cs: Array[_ <: QdtsEnv#Candidate]) =
+    cs.map(c => (c.trajIdx, c.ptIdx, bits(c.vs), bits(c.vt))).toSeq
+
+  /** Insert every point of `db` through random descents, checking at each
+    * step that `candidates` equals the reference scan bit for bit. Returns
+    * the number of steps at which more than K trajectories tied at the K-th
+    * candidate's v_s, where the tie-break decides who is left out.
+    */
+  private def checkCandidatesAgainstReference(db: Array[Traj], label: String): Int = {
+    val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+    val env = new QdtsEnv(db, Workload.dataDist(db, 10, 2000, math.max(tmax - tmin, 1.0), 12), params)
+    val rng = new java.util.Random(29)
+    val n = Model.totalPoints(db).toInt
+    var steps = 0
+    var tiedBeyondK = 0
+    while (env.insertedCount < n) {
+      val node = randomCube(env, rng)
+      val cands = env.candidates(node)
+      assert(candKey(cands) === candKey(env.candidatesReference(node)), s"$label step $steps")
+      assert(cands.nonEmpty)
+      if (cands.length == params.k) {
+        val kth = bits(cands.last.vs)
+        val bestVs = env.octree.pointsIn(node).filterNot { case (ti, pi) => env.isInserted(ti, pi) }
+          .toSeq.groupBy(_._1).values.map(_.map { case (ti, pi) => env.cachedValues(ti, pi)._1 }.max)
+        if (bestVs.count(v => bits(v) == kth) > params.k) tiedBeyondK += 1
+      }
+      val c = cands(rng.nextInt(cands.length))
+      assert(env.insertPoint(c.trajIdx, c.ptIdx))
+      steps += 1
+    }
+    assert(env.candidates(env.octree.root).isEmpty)
+    tiedBeyondK
+  }
+
+  test("candidates equal the reference scan on tied, NaN-coordinate and bench-profile data") {
+    // overlapping stationary trajectories (every v_s is exactly 0.0) and
+    // straight lines, so many trajectories tie across a cube
+    val still = Array.tabulate(6)(i => Traj(i, Array.tabulate(40)(j => Point(100 + 3 * i, 200, 10.0 * j))))
+    val lines = Array.tabulate(6)(i => Traj(10 + i, Array.tabulate(40)(j => Point(100 + j, 200 + i, 10.0 * j + i))))
+    // interleave them so flat order does not follow trajectory order
+    val tied = still.zip(lines).flatMap { case (a, b) => Seq(b, a) }
+    val tiedSteps = checkCandidatesAgainstReference(tied, "tied")
+    assert(tiedSteps > 30, s"only $tiedSteps steps with ties beyond K")
+    // NaN coordinates: inside a trajectory, and at an endpoint (every v_s NaN)
+    val gen = TrajGen.genLocal(TrajGen.chengdu, 5, 31)
+    def withNaN(tr: Traj, at: Int => Boolean) =
+      tr.copy(points = tr.points.zipWithIndex.map { case (p, j) => if (at(j)) p.copy(x = Double.NaN) else p })
+    val nan = gen.updated(1, withNaN(gen(1), _ % 5 == 2)).updated(3, withNaN(gen(3), _ == 0))
+    checkCandidatesAgainstReference(nan, "NaN")
+    val bench = TrajGen.genLocal(repro.exp.Experiments.benchProfile.copy(avgLen = 150), 5, 37)
+    checkCandidatesAgainstReference(bench, "bench profile")
+  }
+
+  test("avgF1 right after construction has the bits of a fresh RangeQuery.inMemory recomputation") {
+    val gen = TrajGen.genLocal(TrajGen.geolife, 6, 41)
+    for (db <- Seq(TrajGen.genLocal(TrajGen.chengdu, 10, 43), gen :+ Traj(99, Array(gen(0).points(3))))) {
+      val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+      val wl = Workload.dataDist(db, 30, 1500, tmax - tmin, 44)
+      val env = new QdtsEnv(db, wl, params)
+      val simp = env.result.materialise(db)
+      val recomputed = Quality.mean(wl.toSeq.map { q =>
+        Quality.f1(RangeQuery.inMemory(db, q), RangeQuery.inMemory(simp, q))
+      })
+      assert(bits(env.avgF1) === bits(recomputed))
+      assert(env.avgF1 < 1.0)
+    }
+  }
+
   test("cached (v_s, v_t) equal pointValues for every un-inserted point after each insertion") {
     val env = mkEnv(nTrajs = 4, nQ = 5)
     val rng = new java.util.Random(17)

@@ -81,6 +81,25 @@ class RL4QDTSSpec extends SparkSpec {
     }
   }
 
+  test("zero-point trajectories keep nothing, and the rest keep their endpoints within budget") {
+    val (gen, wl) = setup()
+    val db = Traj(2000, Array.empty[Point]) +: gen :+ Traj(2001, Array.empty[Point])
+    for (variant <- Seq(
+        RL4QDTS.Variant(useCube = true, usePoint = true),
+        RL4QDTS.Variant(useCube = false, usePoint = true),
+        RL4QDTS.Variant(useCube = true, usePoint = false));
+        w <- Seq(0, 2 * gen.length + 30)) {
+      val s = RL4QDTS.simplify(db, w, wl, agents.cubeNet, agents.pointNet, params, 5, variant)
+      assert(s.totalPoints === math.max(w, 2 * gen.length), s"$variant w=$w")
+      assert(s.kept(2000L).isEmpty && s.kept(2001L).isEmpty, s"$variant w=$w")
+      for (tr <- gen) {
+        val kept = s.kept(tr.id)
+        assert(kept.head === 0 && kept.last === tr.length - 1, s"$variant w=$w traj ${tr.id}")
+      }
+      assert(s.materialise(db).map(_.length).sum === s.totalPoints)
+    }
+  }
+
   test("more budget never hurts range-query F1 on the training workload") {
     val (db, wl) = setup(nTrajs = 12, seed = 9)
     val n = Model.totalPoints(db).toInt

@@ -1,13 +1,15 @@
 package repro.index
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropSupport, SparkSpec}
 import repro.core.{Box, Point, Traj}
 import repro.data.TrajGen
+import repro.queries.RangeQuery
 
 /** Tests of the adaptive octree index (cube statistics, splitting, query
   * counts, remaining-point bookkeeping).
   */
-class OctreeSpec extends SparkSpec {
+class OctreeSpec extends SparkSpec with PropSupport {
 
   private def grid(n: Int): Array[Traj] = {
     // n trajectories, each a short run in a distinct region
@@ -181,6 +183,80 @@ class OctreeSpec extends SparkSpec {
     val parentVol =
       (n.box.xmax - n.box.xmin) * (n.box.ymax - n.box.ymin) * (n.box.tmax - n.box.tmin)
     assert(math.abs(childVol - parentVol) <= math.abs(parentVol) * 1e-9)
+  }
+
+  // --- range queries from the octree against the full scan ---
+
+  /** A database, an octree shape and query boxes for the range differential.
+    * Coordinates are on a small integer grid, so query faces pass through
+    * points. Offset by 1e9, the grid is too coarse for the root's 1e-9
+    * widening, so node faces pass through points too. Some databases have
+    * zero extent, empty and one-point
+    * trajectories, NaN coordinates, or -inf and +inf in one dimension (the
+    * root's midpoint there is NaN, and so are the bounds below it). Some
+    * queries have NaN, infinite or inverted bounds.
+    */
+  private val rangeCases: Gen[(Array[Traj], Int, Int, Array[Box])] = for {
+    seed <- Gen.choose(0L, Long.MaxValue)
+    nTrajs <- Gen.chooseNum(0, 12)
+    kind <- Gen.oneOf("grid", "zero", "nonfinite")
+    origin <- Gen.oneOf(0.0, 1e9)
+    maxDepth <- Gen.oneOf(1, 3, 12)
+    leafCap <- Gen.oneOf(1, 4, 100)
+  } yield {
+    val rng = new java.util.Random(seed)
+    def grid(): Double = origin + rng.nextInt(9)
+    val specials = Array(Double.NaN, Double.NegativeInfinity, Double.PositiveInfinity)
+    def coord(): Double = kind match {
+      case "zero" => origin + 4
+      case "nonfinite" if rng.nextInt(6) == 0 => specials(rng.nextInt(3))
+      case _ => grid()
+    }
+    val db = Array.tabulate(nTrajs) { i =>
+      val len = rng.nextInt(5) match { case 0 => 1; case 1 if rng.nextBoolean() => 0; case _ => rng.nextInt(40) }
+      Traj(i, Array.fill(len)(Point(coord(), coord(), coord())))
+    }
+    val queries = Array.fill(30) {
+      def range(): (Double, Double) = rng.nextInt(8) match {
+        case 0 => (Double.NegativeInfinity, Double.PositiveInfinity)
+        case 1 => val v = grid(); (v + 1, v) // inverted
+        case _ => val v = grid(); (v, v + rng.nextInt(4))
+      }
+      val (x0, x1) = range(); val (y0, y1) = range(); val (t0, t1) = range()
+      val b = Array(x0, x1, y0, y1, t0, t1)
+      if (rng.nextInt(6) == 0) b(rng.nextInt(6)) = Double.NaN
+      Box(b(0), b(1), b(2), b(3), b(4), b(5))
+    }
+    (db, maxDepth, leafCap, queries)
+  }
+
+  private def hasNaNBound(b: Box): Boolean =
+    Seq(b.xmin, b.xmax, b.ymin, b.ymax, b.tmin, b.tmax).exists(_.isNaN)
+
+  test("trajsIn equals RangeQuery.inMemory on random databases and query boxes") {
+    var onFace = 0     // hits through a point on a face of the query box
+    var underNaN = 0   // hits through a point in a node with a NaN bound
+    var nanQueries = 0 // queries with a NaN bound
+    forAllN(rangeCases, 400) { case (db, maxDepth, leafCap, queries) =>
+      val ot = new Octree(db, maxDepth, leafCap)
+      def nodes(n: OctNode): Iterator[OctNode] =
+        Iterator.single(n) ++ (if (n.isLeaf) Iterator.empty else n.children.iterator.flatMap(nodes))
+      val nanNodes = nodes(ot.root).filter(n => hasNaNBound(n.box)).toVector
+      for (q <- queries) {
+        val hit = ot.trajsIn(q)
+        assert(hit.length === db.length)
+        assert(db.indices.filter(hit).map(db(_).id).toSet === RangeQuery.inMemory(db, q),
+          s"maxDepth=$maxDepth leafCap=$leafCap q=$q lengths=${db.map(_.length).toSeq}")
+        if (hasNaNBound(q)) nanQueries += 1
+        for (tr <- db; p <- tr.points if q.contains(p))
+          if (p.x == q.xmin || p.x == q.xmax || p.y == q.ymin || p.y == q.ymax ||
+              p.t == q.tmin || p.t == q.tmax) onFace += 1
+        for (n <- nanNodes if ot.pointsIn(n).exists { case (ti, pi) => q.contains(db(ti).points(pi)) })
+          underNaN += 1
+      }
+    }
+    assert(onFace > 5000 && underNaN > 1000 && nanQueries > 1000,
+      s"onFace=$onFace underNaN=$underNaN nanQueries=$nanQueries")
   }
 
   test("octree of a single-point database works") {

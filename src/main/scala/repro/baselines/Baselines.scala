@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.DataFrame
 import repro.core.{Model, PointRow, SimpleDB, Traj}
 import repro.traj.ErrorMeasures
 import repro.traj.ErrorMeasures.{DAD, Measure}
@@ -38,6 +38,23 @@ object Baselines {
     stat ++ rltsMethods :+ span
   }
 
+  /** The E adaptation's budget of trajectory `tr` at compression ratio `r`:
+    * max(2, floor(r * |T|)) (Section V-A).
+    */
+  def eBudget(r: Double, tr: Traj): Int = math.max(2, (r * tr.length).toInt)
+
+  /** Every trajectory's E budget for a total budget W, with r = W / N. */
+  def eBudgets(db: Array[Traj], totalBudget: Int): Array[Int] = {
+    val r = totalBudget.toDouble / Model.totalPoints(db)
+    db.map(eBudget(r, _))
+  }
+
+  /** The E adaptation of a per-trajectory simplifier: `one(tr, budget)` on
+    * each trajectory with its E budget.
+    */
+  def perTrajectory(db: Array[Traj], totalBudget: Int)(one: (Traj, Int) => Array[Int]): SimpleDB =
+    SimpleDB(db.zip(eBudgets(db, totalBudget)).map { case (tr, b) => tr.id -> one(tr, b) }.toMap)
+
   /** Train one RLTS+ policy per error measure on `trainTrajs`. */
   def trainRlts(trainTrajs: Array[Traj], budgetFrac: Double, episodes: Int = 2,
                 k: Int = 3, seed: Long = 17): Map[Measure, RltsPlus] =
@@ -59,7 +76,7 @@ object Baselines {
     val mth = method.toLowerCase
     Model.toTrajDS(points)
       .flatMap { tr =>
-        val budget = math.max(2, (r * tr.length).toInt)
+        val budget = eBudget(r, tr)
         val meas = ErrorMeasures.byName(mName)
         val kept: Array[Int] = mth match {
           case "topdown"    => TopDown.simplifyOne(meas, tr, budget)

@@ -44,8 +44,6 @@ object BottomUp {
     * @param k        number of cheapest candidates offered to the chooser
     * @param choose   picks the index (0-based, into the cost-sorted candidate
     *                 array) of the drop to perform; `_ => 0` is classic Bottom-Up
-    * @param onDrop   training hook invoked after each drop with the candidates
-    *                 shown and the index chosen
     */
   def run(
       m: Measure,
@@ -53,8 +51,7 @@ object BottomUp {
       perTraj: Option[Array[Int]],
       totalBudget: Int,
       k: Int = 1,
-      choose: Array[Cand] => Int = _ => 0,
-      onDrop: (Array[Cand], Int) => Unit = (_, _) => ()): SimpleDB = {
+      choose: Array[Cand] => Int = _ => 0): SimpleDB = {
 
     val states = db.map(new TrajState(_))
     val heap = mutable.PriorityQueue.empty[HeapEntry](ord)
@@ -111,7 +108,6 @@ object BottomUp {
       }
       val cands = popped.map(e => Cand(e.cost, e.trajIdx, e.ptIdx)).toArray
       val chosen = math.max(0, math.min(cands.length - 1, choose(cands)))
-      onDrop(cands, chosen)
       // re-push the not-chosen candidates
       for ((e, idx) <- popped.zipWithIndex if idx != chosen)
         heap.enqueue(e)
@@ -144,11 +140,8 @@ object BottomUp {
   }
 
   /** E adaptation: per-trajectory budgets proportional to length. */
-  def simplifyE(m: Measure, db: Array[Traj], totalBudget: Int): SimpleDB = {
-    val n = db.map(_.length.toLong).sum
-    val r = totalBudget.toDouble / n
-    run(m, db, Some(db.map(tr => math.max(2, (r * tr.length).toInt))), 0)
-  }
+  def simplifyE(m: Measure, db: Array[Traj], totalBudget: Int): SimpleDB =
+    run(m, db, Some(Baselines.eBudgets(db, totalBudget)), 0)
 
   /** W adaptation: drop the globally cheapest point until the total budget. */
   def simplifyW(m: Measure, db: Array[Traj], totalBudget: Int): SimpleDB =

@@ -40,7 +40,7 @@ final class RltsPlus(val measure: Measure, val k: Int = 3, seed: Long = 17) {
       val scale = math.max(1e-9, trajScale(tr))
       BottomUp.run(
         measure, Array(tr),
-        Some(Array(math.max(2, (budgetFrac * tr.length).toInt))), 0, k,
+        Some(Array(Baselines.eBudget(budgetFrac, tr))), 0, k,
         choose = cands => {
           val (s, mask) = state(cands)
           // close the previous pending transition with the now-known next state
@@ -80,12 +80,8 @@ final class RltsPlus(val measure: Measure, val k: Int = 3, seed: Long = 17) {
   }
 
   /** E adaptation: per-trajectory budgets, learned drop policy. */
-  def simplifyE(db: Array[Traj], totalBudget: Int): SimpleDB = {
-    val n = db.map(_.length.toLong).sum
-    val r = totalBudget.toDouble / n
-    BottomUp.run(measure, db, Some(db.map(tr => math.max(2, (r * tr.length).toInt))), 0,
-      k, greedyChoose)
-  }
+  def simplifyE(db: Array[Traj], totalBudget: Int): SimpleDB =
+    BottomUp.run(measure, db, Some(Baselines.eBudgets(db, totalBudget)), 0, k, greedyChoose)
 
   /** W adaptation: global candidate pool, learned drop policy. */
   def simplifyW(db: Array[Traj], totalBudget: Int): SimpleDB =

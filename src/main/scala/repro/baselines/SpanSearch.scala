@@ -80,9 +80,6 @@ object SpanSearch {
   }
 
   /** E adaptation (the only one): per-trajectory proportional budgets. */
-  def simplifyE(db: Array[Traj], totalBudget: Int): SimpleDB = {
-    val n = db.map(_.length.toLong).sum
-    val r = totalBudget.toDouble / n
-    SimpleDB(db.map(tr => tr.id -> simplifyOne(tr, math.max(2, (r * tr.length).toInt))).toMap)
-  }
+  def simplifyE(db: Array[Traj], totalBudget: Int): SimpleDB =
+    Baselines.perTrajectory(db, totalBudget)(simplifyOne)
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import scala.collection.mutable
-import repro.core.{SimpleDB, Traj}
+import repro.core.{Model, SimpleDB, Traj}
 import repro.traj.ErrorMeasures
 import repro.traj.ErrorMeasures.{Measure, SED, PED, DAD, SAD}
 
@@ -54,35 +54,19 @@ object TopDown {
   private final case class Entry(score: Double, trajIdx: Int, ia: Int, ib: Int, split: Int)
   private val ord: Ordering[Entry] = Ordering.by[Entry, Double](_.score)
 
-  /** Simplify one trajectory to at most `budget` points (E adaptation body). */
-  def simplifyOne(m: Measure, tr: Traj, budget: Int): Array[Int] = {
-    val n = tr.length
-    if (n <= 2 || budget >= n) return Array.tabulate(n)(identity)
-    val b = math.max(2, budget)
-    val kept = mutable.SortedSet(0, n - 1)
-    val heap = mutable.PriorityQueue.empty[Entry](ord)
-    bestSplit(m, tr, 0, n - 1).foreach(s => heap.enqueue(Entry(s._1, 0, 0, n - 1, s._2)))
-    while (kept.size < b && heap.nonEmpty) {
-      val e = heap.dequeue()
-      kept += e.split
-      bestSplit(m, tr, e.ia, e.split).foreach(s => heap.enqueue(Entry(s._1, 0, e.ia, e.split, s._2)))
-      bestSplit(m, tr, e.split, e.ib).foreach(s => heap.enqueue(Entry(s._1, 0, e.split, e.ib, s._2)))
-    }
-    kept.toArray
-  }
+  /** Simplify one trajectory to at most `budget` points: the W loop on a
+    * one-trajectory database (E adaptation body).
+    */
+  def simplifyOne(m: Measure, tr: Traj, budget: Int): Array[Int] =
+    simplifyW(m, Array(tr), budget).kept(tr.id)
 
-  /** E adaptation: per-trajectory budgets proportional to length. */
-  def simplifyE(m: Measure, db: Array[Traj], totalBudget: Int): SimpleDB = {
-    val n = db.map(_.length.toLong).sum
-    val r = totalBudget.toDouble / n
-    SimpleDB(db.map(tr => tr.id -> simplifyOne(m, tr, math.max(2, (r * tr.length).toInt))).toMap)
-  }
+  /** E adaptation: each trajectory separately, per-trajectory budgets. */
+  def simplifyE(m: Measure, db: Array[Traj], totalBudget: Int): SimpleDB =
+    Baselines.perTrajectory(db, totalBudget)(simplifyOne(m, _, _))
 
   /** W adaptation: one global heap over the whole database. */
   def simplifyW(m: Measure, db: Array[Traj], totalBudget: Int): SimpleDB = {
-    val keptSets = db.map { tr =>
-      if (tr.length <= 1) mutable.SortedSet(0) else mutable.SortedSet(0, tr.length - 1)
-    }
+    val keptSets = db.map(tr => mutable.SortedSet.from(Model.endpoints(tr.length)))
     var total = keptSets.map(_.size).sum
     val heap = mutable.PriorityQueue.empty[Entry](ord)
     for (ti <- db.indices if db(ti).length > 2)

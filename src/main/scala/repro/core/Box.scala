@@ -16,9 +16,4 @@ final case class Box(
   def spatialDiag: Double = math.hypot(xmax - xmin, ymax - ymin)
 
   def tExtent: Double = tmax - tmin
-
-  def intersects(o: Box): Boolean =
-    xmin <= o.xmax && xmax >= o.xmin &&
-      ymin <= o.ymax && ymax >= o.ymin &&
-      tmin <= o.tmax && tmax >= o.tmin
 }

@@ -63,18 +63,16 @@ object Training {
     val valN = Model.totalPoints(valDb)
     val valBudget = math.max(2 * valDb.length + 5, math.round(cfg.budgetFrac * valN).toInt)
     val (_, _, _, _, vtmin, vtmax) = Model.bounds(valDb)
-    val valWl = repro.queries.Workload.generate(cfg.workloadKind, valDb, cfg.nQueries,
+    val valWl = Workload.generate(cfg.workloadKind, valDb, cfg.nQueries,
       cfg.querySizeXY, math.max((vtmax - vtmin) * cfg.queryTFrac, 1.0), cfg.seed - 8)
-    val valGt = valWl.map(repro.queries.RangeQuery.inMemory(valDb, _))
     val valEnv = new QdtsEnv(valDb, valWl, cfg.params)
 
     def validate(): Unit = {
-      val simp = RL4QDTS
-        .simplify(valEnv, valBudget, agents.cube.online, agents.point.online,
-          seed = 17, RL4QDTS.Variant())
-        .materialise(valDb)
-      val f1 = repro.queries.Quality.mean(valWl.indices.map(i =>
-        repro.queries.Quality.f1(valGt(i), repro.queries.RangeQuery.inMemory(simp, valWl(i)))))
+      RL4QDTS.simplify(valEnv, valBudget, agents.cube.online, agents.point.online,
+        seed = 17, RL4QDTS.Variant())
+      // the env's incremental F1 of the result: bit-equal to re-running the
+      // workload on it (QdtsEnvSpec)
+      val f1 = valEnv.avgF1
       if (f1 > agents.bestValF1) {
         agents.bestValF1 = f1
         agents.bestCube = Some(agents.cube.online.snapshot)

@@ -1,7 +1,7 @@
 package repro.data
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{Model, Point, PointRow, Traj}
+import repro.core.{Point, PointRow, Traj}
 
 /** Synthetic trajectory generators standing in for the paper's four real GPS
   * datasets (Geolife, T-Drive, Chengdu, OSM), which are not available in the
@@ -147,7 +147,4 @@ object TrajGen {
     h ^= h >>> 32; h *= 0xff51afd7ed558ccdL; h ^= h >>> 29
     h
   }
-
-  private[repro] def trajToDF(spark: SparkSession, db: Array[Traj]): DataFrame =
-    Model.toDF(spark, db.toSeq)
 }

@@ -177,17 +177,6 @@ object Experiments {
       Quality.mean(rangeQs.indices.map(i =>
         Quality.f1(rangeGt(i), RangeQuery.inMemory(simp, rangeQs(i)))))
     }
-
-    /** Mean SED deformation over trajectories returned by the range workload
-      * (the Fig. 7 metric).
-      */
-    def meanSedOfReturned(s: SimpleDB): Double = {
-      val hit = rangeGt.flatten.toSet
-      val ts = db.filter(t => hit(t.id))
-      if (ts.isEmpty) 0.0
-      else Quality.mean(ts.toSeq.map(t =>
-        repro.traj.ErrorMeasures.meanSed(t, s.kept(t.id))))
-    }
   }
 
   /** Run RL4QDTS with trained nets; convenience for benches. */

@@ -1,12 +1,13 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.baselines.{Baselines, BottomUp, RltsPlus, TopDown}
+import repro.baselines.{Baselines, RltsPlus}
+import repro.baselines.Baselines.NamedMethod
 import repro.core.{Box, Model, RL4QDTS, SimpleDB, Traj, Training}
 import repro.data.TrajGen
 import repro.exp.Experiments.{Evaluator, TaskF1, envInt, time}
 import repro.queries.{Quality, Workload}
-import repro.traj.ErrorMeasures.{DAD, Measure, PED, SED}
+import repro.traj.ErrorMeasures.Measure
 
 /** The paper's tables and figures, each rendered as a table: one function per
   * experiment returns its table and the numbers the `bench` suites assert on.
@@ -191,13 +192,18 @@ object Figures {
   /** The storage budgets of the Fig. 4 sweep, as fractions of N. */
   val budgets: Seq[Double] = Seq(0.0025, 0.005, 0.01, 0.02)
 
+  /** The baseline catalog's methods named `names`, in that order. */
+  private def catalog(names: Seq[String], rlts: Map[Measure, RltsPlus] = Map.empty): Seq[NamedMethod] = {
+    val byName = Baselines.all(rlts).map(m => m.name -> m).toMap
+    names.map(byName)
+  }
+
   // the paper's data-distribution skyline (Section V-B(1))
-  private val dataSkyline = Seq[(String, (Array[Traj], Int) => SimpleDB)](
-    ("Top-Down(E,PED)", (d, w) => TopDown.simplifyE(PED, d, w)),
-    ("Top-Down(W,PED)", (d, w) => TopDown.simplifyW(PED, d, w)),
-    ("Bottom-Up(W,PED)", (d, w) => BottomUp.simplifyW(PED, d, w)),
-    ("Bottom-Up(E,DAD)", (d, w) => BottomUp.simplifyE(DAD, d, w)),
-    ("Bottom-Up(E,SED)", (d, w) => BottomUp.simplifyE(SED, d, w)))
+  private val dataSkyline =
+    Seq("Top-Down(E,PED)", "Top-Down(W,PED)", "Bottom-Up(W,PED)", "Bottom-Up(E,DAD)", "Bottom-Up(E,SED)")
+
+  // the paper's Gaussian skyline (Section V-B(1))
+  private val gaussSkyline = Seq("Bottom-Up(E,SED)", "RLTS+(E,SED)", "Bottom-Up(E,PED)", "Top-Down(E,PED)")
 
   /** Fig. 4 (a–e) with RL4QDTS's F1 and the best skyline range F1 per budget. */
   final case class Fig4Data(table: Table, rlByBudget: Map[Double, TaskF1],
@@ -214,9 +220,9 @@ object Figures {
     val bestBaseRange = Map.newBuilder[Double, Double]
     for (b <- budgets) {
       val w = budget(db, b)
-      val base = dataSkyline.map { case (name, f) =>
-        val f1 = ev.evaluate(f(db, w))
-        rows += (pct(b) +: name +: f1Cells(f1))
+      val base = catalog(dataSkyline).map { m =>
+        val f1 = ev.evaluate(m.simplify(db, w))
+        rows += (pct(b) +: m.name +: f1Cells(f1))
         f1.range
       }
       bestBaseRange += b -> base.max
@@ -239,19 +245,13 @@ object Figures {
   def fig4Gauss(in: Inputs): Fig4Gauss = {
     val db = in.db
     val ev = in.evalGauss
-    // the paper's Gaussian skyline: Bottom-Up(E,SED), RLTS+(E,SED),
-    // Bottom-Up(E,PED), Top-Down(E,PED) — RLTS+ comes from the trained pool
-    val gaussSkyline = Seq[(String, (Array[Traj], Int) => SimpleDB)](
-      ("Bottom-Up(E,SED)", (d, w) => BottomUp.simplifyE(SED, d, w)),
-      ("RLTS+(E,SED)", (d, w) => in.rlts(SED).simplifyE(d, w)),
-      ("Bottom-Up(E,PED)", (d, w) => BottomUp.simplifyE(PED, d, w)),
-      ("Top-Down(E,PED)", (d, w) => TopDown.simplifyE(PED, d, w)))
+    val skyline = catalog(gaussSkyline, in.rlts)
     val rows = Seq.newBuilder[Seq[String]]
     val byBudget = budgets.map { b =>
       val w = budget(db, b)
-      val base = gaussSkyline.map { case (name, f) =>
-        val r = ev.rangeF1(f(db, w))
-        rows += Seq(pct(b), name, f"$r%.3f")
+      val base = skyline.map { m =>
+        val r = ev.rangeF1(m.simplify(db, w))
+        rows += Seq(pct(b), m.name, f"$r%.3f")
         r
       }
       val sims = Experiments.runRl4qdts(db, w, in.agents, "gaussian",
@@ -266,16 +266,12 @@ object Figures {
 
   // ---------------- Fig. 8 ----------------
 
-  private def timedMethods(agents: Training.TrainedAgents, workload: Array[Box]) =
-    Seq[(String, (Array[Traj], Int) => SimpleDB)](
-      ("Top-Down(E,PED)", (d, w) => TopDown.simplifyE(PED, d, w)),
-      ("Top-Down(W,PED)", (d, w) => TopDown.simplifyW(PED, d, w)),
-      ("Bottom-Up(E,SED)", (d, w) => BottomUp.simplifyE(SED, d, w)),
-      ("Bottom-Up(W,PED)", (d, w) => BottomUp.simplifyW(PED, d, w)),
-      ("RL4QDTS", (d, w) => RL4QDTS.simplify(
+  private def timedMethods(agents: Training.TrainedAgents, workload: Array[Box]): Seq[NamedMethod] =
+    catalog(Seq("Top-Down(E,PED)", "Top-Down(W,PED)", "Bottom-Up(E,SED)", "Bottom-Up(W,PED)")) :+
+      NamedMethod("RL4QDTS", (d, w) => RL4QDTS.simplify(
         d, w, workload, agents.cubeNet, agents.pointNet,
         // density-adaptive S, as the paper scales S with database size
-        Experiments.paramsFor(Model.totalPoints(d)), seed = 1)))
+        Experiments.paramsFor(Model.totalPoints(d)), seed = 1))
 
   private def workloadOf(db: Array[Traj], seed: Long): Array[Box] = {
     val (_, _, _, _, tmin, tmax) = Model.bounds(db)
@@ -297,11 +293,11 @@ object Figures {
       val db = TrajGen.genLocal(TrajGen.osm, nTrajs, seed = 777)
       val n = Model.totalPoints(db)
       val w = budget(db, 0.02)
-      for ((name, f) <- timedMethods(in.agents, workloadOf(db, 778))) {
-        val (s, t) = time(f(db, w))
+      for (m <- timedMethods(in.agents, workloadOf(db, 778))) {
+        val (s, t) = time(m.simplify(db, w))
         runs += Run(db, w, s)
-        timesByMethod(name) = timesByMethod(name) :+ t
-        rows += Seq(s"$n", name, f"$t%.2f")
+        timesByMethod(m.name) = timesByMethod(m.name) :+ t
+        rows += Seq(s"$n", m.name, f"$t%.2f")
       }
     }
     Fig8a(Table("Fig 8(a) (as table) — time (s) vs N on OSM-like, r=2%",
@@ -320,11 +316,11 @@ object Figures {
     val t = Map.newBuilder[(String, Double), Double]
     for (b <- budgets) {
       val w = budget(db, b)
-      for ((name, f) <- timedMethods(in.agents, wl)) {
-        val (s, dt) = time(f(db, w))
+      for (m <- timedMethods(in.agents, wl)) {
+        val (s, dt) = time(m.simplify(db, w))
         runs += Run(db, w, s)
-        t += (name, b) -> dt
-        rows += Seq(pct(b), name, f"$dt%.2f")
+        t += (m.name, b) -> dt
+        rows += Seq(pct(b), m.name, f"$dt%.2f")
       }
     }
     Fig8b(Table("Fig 8(b) (as table) — time (s) vs W on Geolife-like",

@@ -41,9 +41,4 @@ object TrajEmbed {
     while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
     math.sqrt(s)
   }
-
-  /** Embedding dissimilarity between two trajectories in a common frame. */
-  def dist(a: Traj, b: Traj, xmin: Double, xspan: Double, ymin: Double,
-           yspan: Double, l: Int = DefaultL): Double =
-    l2(embed(a, xmin, xspan, ymin, yspan, l), embed(b, xmin, xspan, ymin, yspan, l))
 }

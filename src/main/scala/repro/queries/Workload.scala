@@ -5,9 +5,8 @@ import repro.core.{Box, Model, Traj}
 /** Range-query workload generators (Section IV-A / V-A). Each query is a
   * spatio-temporal box of fixed spatial side `sizeXY` (the paper's 2 km x 2 km)
   * and temporal extent `sizeT` (the paper's 7 days), whose centre is drawn
-  * from one of three distributions: the data distribution, a Gaussian over the
-  * normalised domain, or a Zipf distribution over grid cells (used in the
-  * transferability study).
+  * from one of two distributions: the data distribution or a Gaussian over
+  * the normalised domain.
   */
 object Workload {
 
@@ -47,37 +46,11 @@ object Workload {
     }
   }
 
-  /** Centres drawn Zipf(a) over a `grid x grid` spatial partition ranked in a
-    * fixed shuffled order; temporal centre uniform (transferability study).
-    */
-  def zipf(db: Array[Traj], n: Int, sizeXY: Double, sizeT: Double,
-           a: Double, grid: Int, seed: Long): Array[Box] = {
-    val (xmin, xmax, ymin, ymax, tmin, tmax) = Model.bounds(db)
-    val rng = new java.util.Random(seed)
-    val cells = rng.ints(0, grid * grid).distinct().limit(grid.toLong * grid).toArray
-    val weights = Array.tabulate(cells.length)(k => 1.0 / math.pow(k + 1, a))
-    val total = weights.sum
-    def draw(): Int = {
-      var u = rng.nextDouble() * total; var k = 0
-      while (k < weights.length - 1 && u > weights(k)) { u -= weights(k); k += 1 }
-      cells(k)
-    }
-    Array.fill(n) {
-      val cell = draw()
-      val gx = cell % grid; val gy = cell / grid
-      val cx = xmin + (gx + rng.nextDouble()) / grid * (xmax - xmin)
-      val cy = ymin + (gy + rng.nextDouble()) / grid * (ymax - ymin)
-      val ct = tmin + rng.nextDouble() * (tmax - tmin)
-      boxAround(cx, cy, ct, sizeXY, sizeT)
-    }
-  }
-
   /** Named workload distribution, used by benches/jobs. */
   def generate(kind: String, db: Array[Traj], n: Int, sizeXY: Double, sizeT: Double,
                seed: Long): Array[Box] = kind match {
     case "data"     => dataDist(db, n, sizeXY, sizeT, seed)
     case "gaussian" => gaussian(db, n, sizeXY, sizeT, 0.5, 0.25, seed)
-    case "zipf"     => zipf(db, n, sizeXY, sizeT, 4.0, 16, seed)
     case other      => throw new IllegalArgumentException(s"unknown workload $other")
   }
 }

@@ -123,21 +123,4 @@ object ErrorMeasures {
     }
     worst
   }
-
-  /** Mean SED deformation of a simplified trajectory — the Fig. 7 metric
-    * (average synchronised displacement of every original point).
-    */
-  def meanSed(tr: Traj, kept: Array[Int]): Double = {
-    if (tr.length <= 2) return 0.0
-    var sum = 0.0
-    var j = 0
-    while (j < kept.length - 1) {
-      val ia = kept(j); val ib = kept(j + 1)
-      val a = tr.points(ia); val b = tr.points(ib)
-      var i = ia + 1
-      while (i < ib) { sum += sed(a, b, tr.points(i)); i += 1 }
-      j += 1
-    }
-    sum / tr.length
-  }
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.SparkSpec
-import repro.core.Model
+import repro.core.{Model, Point, Traj}
 import repro.data.TrajGen
 import repro.traj.ErrorMeasures
 
@@ -45,6 +45,39 @@ class BaselinesSpec extends SparkSpec {
         assert(kept.head === 0 && kept.last === tr.length - 1, s"${m.name} traj ${tr.id}")
         assert(kept.toSeq === kept.sorted.toSeq, m.name)
       }
+    }
+  }
+
+  test("every catalog method keeps exactly the endpoints of 0-, 1- and 2-point trajectories") {
+    val tiny = Array(Traj(1000, Array.empty), Traj(1001, Array(Point(0, 0, 0))),
+      Traj(1002, Array(Point(0, 0, 0), Point(5, 5, 5))))
+    val mixed = db.take(4) ++ tiny
+    val rlts = Baselines.trainRlts(db.take(2), 0.4, episodes = 1)
+    val n = Model.totalPoints(mixed).toInt
+    for (m <- Baselines.all(rlts); w <- Seq(0, 2 * mixed.length + 5, n / 7, n)) {
+      val s = m.simplify(mixed, w)
+      s.materialise(mixed)
+      for (tr <- tiny)
+        assert(s.kept(tr.id).toSeq === Model.endpoints(tr.length).toSeq, s"${m.name} W=$w traj ${tr.id}")
+    }
+  }
+
+  test("every catalog method returns the pinned SimpleDBs") {
+    val src = scala.io.Source.fromResource("repro/baselines/baseline_pins.txt")
+    val pins = try src.getLines().filterNot(_.startsWith("#")).toVector finally src.close()
+    assert(pins.length === 100)
+    // 8 Chengdu-like and 4 Geolife-like trajectories, each DB with its own RLTS+ policies
+    val dbs = Seq(("chengdu", 31L, 8), ("geolife", 21L, 4)).map { case (p, seed, nT) =>
+      (p, seed) -> TrajGen.genLocal(TrajGen.profiles(p), nT, seed)
+    }.toMap
+    val catalogs = dbs.map { case (key, pdb) =>
+      key -> Baselines.all(Baselines.trainRlts(pdb.take(2), 0.4, episodes = 1))
+    }
+    for (line <- pins) {
+      val Array(profile, dbSeed, w, name, kept) = line.split(" ")
+      val key = (profile, dbSeed.toLong)
+      val s = catalogs(key).find(_.name == name).get.simplify(dbs(key), w.toInt)
+      assert(dbs(key).map(tr => s.kept(tr.id).mkString(",")).mkString(";") === kept, line.take(40))
     }
   }
 

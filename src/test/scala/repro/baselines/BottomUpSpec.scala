@@ -94,13 +94,6 @@ class BottomUpSpec extends SparkSpec {
     assert(s.kept(0L).length === 8)
   }
 
-  test("onDrop hook observes every drop") {
-    val tr = zigzag(20)
-    var drops = 0
-    BottomUp.run(SED, Array(tr), Some(Array(5)), 0, onDrop = (_, _) => drops += 1)
-    assert(drops === 15)
-  }
-
   test("stale heap entries are skipped (costs reflect current neighbours)") {
     // after dropping points, merged segments grow; final simplification must
     // still be a valid subsequence with endpoints

@@ -34,6 +34,12 @@ class QdtsEnvSpec extends SparkSpec {
   }
 
   test("incremental avgF1 matches a from-scratch recomputation") {
+    def recomputed(env: QdtsEnv): Double = {
+      val simp = env.result.materialise(env.db)
+      Quality.mean(env.workload.toSeq.map { q =>
+        Quality.f1(RangeQuery.inMemory(env.db, q), RangeQuery.inMemory(simp, q))
+      })
+    }
     val env = mkEnv(nTrajs = 8, nQ = 15)
     val rng = new java.util.Random(7)
     // insert a bunch of random points
@@ -42,11 +48,16 @@ class QdtsEnvSpec extends SparkSpec {
       val pi = rng.nextInt(env.db(ti).length)
       env.insertPoint(ti, pi)
     }
-    val simp = env.result.materialise(env.db)
-    val recomputed = Quality.mean(env.workload.toSeq.map { q =>
-      Quality.f1(RangeQuery.inMemory(env.db, q), RangeQuery.inMemory(simp, q))
-    })
-    assert(math.abs(env.avgF1 - recomputed) < 1e-12, s"${env.avgF1} vs $recomputed")
+    assert(env.avgF1 === recomputed(env))
+    // after a full simplification, the state training's validation reads
+    val db = TrajGen.genLocal(TrajGen.geolife, 12, 9)
+    val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+    val full = new QdtsEnv(db, Workload.dataDist(db, 30, 300, tmax - tmin, 10), params)
+    val agents = Training.makeAgents(params, seed = 5)
+    RL4QDTS.simplify(full, 2 * full.db.length + 20, agents.cubeNet, agents.pointNet, 17,
+      RL4QDTS.Variant())
+    assert(full.avgF1 < 1.0)
+    assert(full.avgF1 === recomputed(full))
   }
 
   test("diff = 1 - avgF1 and decreases (weakly) as points are inserted") {

@@ -54,13 +54,6 @@ class ExperimentsSpec extends SparkSpec {
     assert(math.abs(ev.rangeF1(s) - ev.evaluate(s).range) < 1e-12)
   }
 
-  test("meanSedOfReturned is 0 for identity and positive for endpoints-only") {
-    val ev = new Experiments.Evaluator(db, "data", nRange = 10, nKnn = 2, nSim = 2, clusterTrajs = 6)
-    val identity = repro.core.SimpleDB(db.map(t => t.id -> Array.tabulate(t.length)(i => i)).toMap)
-    assert(ev.meanSedOfReturned(identity) === 0.0)
-    assert(ev.meanSedOfReturned(Model.firstLast(db)) > 0.0)
-  }
-
   test("evaluate returns the pinned F1 bits on the 30-trajectory bench DB") {
     val src = scala.io.Source.fromResource("repro/exp/evaluate_pins.txt")
     val pins = try src.getLines().filterNot(_.startsWith("#")).toVector finally src.close()

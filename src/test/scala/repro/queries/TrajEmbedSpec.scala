@@ -11,6 +11,10 @@ class TrajEmbedSpec extends SparkSpec {
   private def emb(tr: Traj, l: Int = 8) =
     TrajEmbed.embed(tr, frame._1, frame._2, frame._3, frame._4, l)
 
+  // the kNN-embedding dissimilarity, as `KnnQuery` computes it
+  private def dist(a: Traj, b: Traj) =
+    TrajEmbed.l2(emb(a, TrajEmbed.DefaultL), emb(b, TrajEmbed.DefaultL))
+
   test("embedding has dimension 2L") {
     val tr = Traj(0, Array(Point(0, 0, 0), Point(10, 10, 10)))
     assert(emb(tr, 16).length === 32)
@@ -27,14 +31,14 @@ class TrajEmbedSpec extends SparkSpec {
 
   test("self-distance is 0") {
     val tr = Traj(0, Array(Point(0, 0, 0), Point(10, 20, 10), Point(30, 10, 20)))
-    assert(TrajEmbed.dist(tr, tr, frame._1, frame._2, frame._3, frame._4) === 0.0)
+    assert(dist(tr, tr) === 0.0)
   }
 
   test("distance is symmetric and positive for different trajectories") {
     val a = Traj(0, Array(Point(0, 0, 0), Point(10, 0, 10)))
     val b = Traj(1, Array(Point(0, 50, 0), Point(10, 50, 10)))
-    val dab = TrajEmbed.dist(a, b, frame._1, frame._2, frame._3, frame._4)
-    val dba = TrajEmbed.dist(b, a, frame._1, frame._2, frame._3, frame._4)
+    val dab = dist(a, b)
+    val dba = dist(b, a)
     assert(dab === dba && dab > 0)
   }
 
@@ -42,8 +46,8 @@ class TrajEmbedSpec extends SparkSpec {
     val q = Traj(0, Array(Point(0, 0, 0), Point(10, 0, 10)))
     val near = Traj(1, Array(Point(0, 1, 0), Point(10, 1, 10)))
     val far = Traj(2, Array(Point(0, 80, 0), Point(10, 80, 10)))
-    val dNear = TrajEmbed.dist(q, near, frame._1, frame._2, frame._3, frame._4)
-    val dFar = TrajEmbed.dist(q, far, frame._1, frame._2, frame._3, frame._4)
+    val dNear = dist(q, near)
+    val dFar = dist(q, far)
     assert(dNear < dFar)
   }
 
@@ -52,7 +56,7 @@ class TrajEmbedSpec extends SparkSpec {
     // embeds (almost) identically — the property QDTS relies on
     val full = Traj(0, Array.tabulate(11)(i => Point(i * 10.0, 0, i * 10.0)))
     val simp = Traj(0, Array(Point(0, 0, 0), Point(100, 0, 100)))
-    val d = TrajEmbed.dist(full, simp, frame._1, frame._2, frame._3, frame._4)
+    val d = dist(full, simp)
     assert(d < 1e-9, s"d=$d")
   }
 

@@ -46,23 +46,9 @@ class WorkloadSpec extends SparkSpec {
     assert(qs.forall(q => math.abs((q.xmin + q.xmax) / 2 - mid) < 1.0))
   }
 
-  test("zipf concentrates mass on few cells for large exponents") {
-    val qs = Workload.zipf(db, 200, 100, 3600, a = 6.0, grid = 8, seed = 13)
-    // bucket the centres into the grid; the top cell should dominate
-    val (xmin, xmax, ymin, ymax, _, _) = Model.bounds(db)
-    val cells = qs.map { q =>
-      val cx = ((q.xmin + q.xmax) / 2 - xmin) / (xmax - xmin)
-      val cy = ((q.ymin + q.ymax) / 2 - ymin) / (ymax - ymin)
-      (math.min(7, (cx * 8).toInt), math.min(7, (cy * 8).toInt))
-    }
-    val top = cells.groupBy(identity).map(_._2.length).max
-    assert(top > 100, s"top cell only $top of 200")
-  }
-
   test("generate dispatches by name and rejects unknown kinds") {
     assert(Workload.generate("data", db, 5, 1000, 3600, 1).length === 5)
     assert(Workload.generate("gaussian", db, 5, 1000, 3600, 1).length === 5)
-    assert(Workload.generate("zipf", db, 5, 1000, 3600, 1).length === 5)
     intercept[IllegalArgumentException] { Workload.generate("nope", db, 5, 1000, 3600, 1) }
   }
 }

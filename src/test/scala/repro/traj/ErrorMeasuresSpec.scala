@@ -135,12 +135,6 @@ class ErrorMeasuresSpec extends SparkSpec with PropSupport {
     intercept[IllegalArgumentException] { trajError(SED, tr, Array(0, 3)) }
   }
 
-  test("meanSed of the identity simplification is 0; of endpoints-only it is positive for a bent path") {
-    val tr = Traj(0, Array(Point(0, 0, 0), Point(1, 3, 1), Point(2, 0, 2)))
-    assert(meanSed(tr, Array(0, 1, 2)) === 0.0)
-    assert(meanSed(tr, Array(0, 2)) === 1.0) // SED 3 at one of 3 points
-  }
-
   test("byName resolves all measures and rejects unknown ones") {
     assert(ErrorMeasures.byName("sed") === SED)
     assert(ErrorMeasures.byName("PED") === PED)

@@ -16,13 +16,22 @@ import repro.traj.ErrorMeasures.{angle, angleDiff}
   */
 object SpanSearch {
 
+  /** Direction of each original segment i -> i+1 of `tr` (`angle`), NaN
+    * where the segment has none (zero length) or its direction is NaN.
+    */
+  private[baselines] def directions(tr: Traj): Array[Double] =
+    Array.tabulate(math.max(0, tr.length - 1))(j =>
+      angle(tr.points(j), tr.points(j + 1)).getOrElse(Double.NaN))
+
   /** Greedy direction-span pass at tolerance `tol`; returns kept indices.
-    * The per-advance direction recheck is strided once the window exceeds
-    * `exactWindow` segments (an O(n·w) -> O(n·exactWindow) bound; long windows
-    * only occur on near-straight stretches where the strided check is a tight
+    * `dirs` are `tr`'s segment directions (`directions(tr)`). The per-advance
+    * direction recheck is strided once the window exceeds `exactWindow`
+    * segments (an O(n·w) -> O(n·exactWindow) bound; long windows only occur
+    * on near-straight stretches where the strided check is a tight
     * approximation).
     */
-  private[baselines] def greedy(tr: Traj, tol: Double, exactWindow: Int = 256): Array[Int] = {
+  private[baselines] def greedy(tr: Traj, tol: Double, dirs: Array[Double],
+                                exactWindow: Int = 256): Array[Int] = {
     val n = tr.length
     if (n <= 2) return Array.tabulate(n)(identity)
     val kept = ArrayBuffer(0)
@@ -41,10 +50,8 @@ object SpanSearch {
             var j = s
             var valid = true
             while (valid && j < i) {
-              angle(tr.points(j), tr.points(j + 1)) match {
-                case Some(d) => if (angleDiff(anchorDir, d) > tol) valid = false
-                case None    => () // zero-length original segment: no direction
-              }
+              // a NaN direction (none, or NaN coordinates) never fails the check
+              if (angleDiff(anchorDir, dirs(j)) > tol) valid = false
               // always include the window's last original segment in the check
               j = if (j + stride >= i && j < i - 1) i - 1 else j + stride
             }
@@ -67,12 +74,14 @@ object SpanSearch {
     val n = tr.length
     if (n <= 2 || budget >= n) return Array.tabulate(n)(identity)
     val b = math.max(2, budget)
+    // the 17 passes share one computation of the segment directions
+    val dirs = directions(tr)
     var lo = 0.0; var hi = math.Pi
-    var best = greedy(tr, hi)
+    var best = greedy(tr, hi, dirs)
     var it = 0
     while (it < 16) { // π/2^16 ≈ 5e-5 rad resolution — beyond any budget granularity
       val mid = (lo + hi) / 2
-      val kept = greedy(tr, mid)
+      val kept = greedy(tr, mid, dirs)
       if (kept.length <= b) { best = kept; hi = mid } else lo = mid
       it += 1
     }

@@ -1,8 +1,10 @@
 package repro.core
 
+import java.util.concurrent.{Callable, ExecutionException, ExecutorService, Executors, Future}
+import scala.collection.mutable
 import repro.data.TrajGen
 import repro.queries.Workload
-import repro.rl.{DQN, Transition}
+import repro.rl.{DQN, MLP, NetWeights, Transition}
 
 /** Policy learning for RL4QDTS (Section IV-C / V-A): deep Q-learning with
   * replay memory over episodes of collective simplification on sampled
@@ -33,11 +35,13 @@ object Training {
     * the snapshot; the raw online nets remain accessible for analysis.
     */
   final case class TrainedAgents(cube: DQN, point: DQN) {
-    var bestCube: Option[repro.rl.NetWeights] = None
-    var bestPoint: Option[repro.rl.NetWeights] = None
+    var bestCube: Option[NetWeights] = None
+    var bestPoint: Option[NetWeights] = None
     var bestValF1: Double = -1.0
-    def cubeNet: repro.rl.MLP = bestCube.map(repro.rl.MLP.fromWeights).getOrElse(cube.online)
-    def pointNet: repro.rl.MLP = bestPoint.map(repro.rl.MLP.fromWeights).getOrElse(point.online)
+    /** The validation F1 of each episode, in episode order. */
+    var valF1s: Vector[Double] = Vector.empty
+    def cubeNet: MLP = bestCube.map(MLP.fromWeights).getOrElse(cube.online)
+    def pointNet: MLP = bestPoint.map(MLP.fromWeights).getOrElse(point.online)
   }
 
   /** Fresh (untrained) agents with the paper's architecture: Agent-Cube
@@ -51,34 +55,73 @@ object Training {
       cube = new DQN(stateDim = 16, nActions = 9, gamma = 0.95, seed = seed),
       point = new DQN(stateDim = 2 * params.k, nActions = params.k, seed = seed + 1))
 
+  /** A database of `nTrajs` trajectories of `cfg`'s profile, its query
+    * workload, and the env over both.
+    */
+  private def buildEnv(cfg: TrainConfig, nTrajs: Int, dbSeed: Long, wlSeed: Long): QdtsEnv = {
+    val db = TrajGen.genLocal(cfg.profile, nTrajs, dbSeed)
+    val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+    val workload = Workload.generate(cfg.workloadKind, db, cfg.nQueries,
+      cfg.querySizeXY, math.max((tmax - tmin) * cfg.queryTFrac, 1.0), wlSeed)
+    new QdtsEnv(db, workload, cfg.params)
+  }
+
   /** Train both agents; returns them (the caller snapshots `cubeNet`/`pointNet`
     * for inference).
+    *
+    * The main thread runs only the episodes. One worker thread, created per
+    * call, takes the work no later step of the main thread waits on: it
+    * builds database i+1's env while the main thread trains on database i,
+    * and it validates each episode's snapshot of both nets. It runs its tasks
+    * in submission order, so the best model is chosen in episode order, as
+    * if every validation ran right after its episode. `train` returns once
+    * the worker has finished, and rethrows the exception of a failed worker
+    * task.
     */
   def train(cfg: TrainConfig): TrainedAgents = {
+    var workerThread: Thread = null
+    val worker = Executors.newSingleThreadExecutor { r =>
+      workerThread = new Thread(r, "training-worker"); workerThread
+    }
+    try train(cfg, worker)
+    finally {
+      worker.shutdownNow()
+      if (workerThread != null) workerThread.join()
+    }
+  }
+
+  private def train(cfg: TrainConfig, worker: ExecutorService): TrainedAgents = {
     val agents = makeAgents(cfg.params, cfg.seed)
     val rng = new java.util.Random(cfg.seed)
+    def submit[A](task: => A): Future[A] = worker.submit(new Callable[A] { def call(): A = task })
+    def await[A](f: Future[A]): A =
+      try f.get() catch { case e: ExecutionException => throw e.getCause }
 
-    // held-out validation database for best-model selection
-    val valDb = TrajGen.genLocal(cfg.profile, math.max(10, cfg.trajsPerDb / 2), cfg.seed - 7)
-    val valN = Model.totalPoints(valDb)
-    val valBudget = math.max(2 * valDb.length + 5, math.round(cfg.budgetFrac * valN).toInt)
-    val (_, _, _, _, vtmin, vtmax) = Model.bounds(valDb)
-    val valWl = Workload.generate(cfg.workloadKind, valDb, cfg.nQueries,
-      cfg.querySizeXY, math.max((vtmax - vtmin) * cfg.queryTFrac, 1.0), cfg.seed - 8)
-    val valEnv = new QdtsEnv(valDb, valWl, cfg.params)
-
-    def validate(): Unit = {
-      RL4QDTS.simplify(valEnv, valBudget, agents.cube.online, agents.point.online,
+    // held-out validation database for best-model selection; only the worker
+    // builds and uses it
+    lazy val valEnv = buildEnv(cfg, math.max(10, cfg.trajsPerDb / 2), cfg.seed - 7, cfg.seed - 8)
+    lazy val valBudget =
+      math.max(2 * valEnv.db.length + 5, math.round(cfg.budgetFrac * Model.totalPoints(valEnv.db)).toInt)
+    def validate(cubeW: NetWeights, pointW: NetWeights): Unit = {
+      RL4QDTS.simplify(valEnv, valBudget, MLP.fromWeights(cubeW), MLP.fromWeights(pointW),
         seed = 17, RL4QDTS.Variant())
       // the env's incremental F1 of the result: bit-equal to re-running the
       // workload on it (QdtsEnvSpec)
       val f1 = valEnv.avgF1
+      agents.valF1s :+= f1
       if (f1 > agents.bestValF1) {
         agents.bestValF1 = f1
-        agents.bestCube = Some(agents.cube.online.snapshot)
-        agents.bestPoint = Some(agents.point.online.snapshot)
+        agents.bestCube = Some(cubeW)
+        agents.bestPoint = Some(pointW)
       }
     }
+    // the octree, its query counts and the ground truth depend only on
+    // (db, workload): one env for every episode on a database
+    def trainingEnv(dbIdx: Int): Future[QdtsEnv] =
+      submit(buildEnv(cfg, cfg.trajsPerDb, cfg.seed + 1000L * (dbIdx + 1), cfg.seed + dbIdx))
+    var next = trainingEnv(0)
+    val validations = mutable.ArrayBuffer.empty[Future[Unit]]
+
     // Transitions are built as the step picks actions. A descend step's
     // transition is complete once the next cube's state is seen; the last one
     // of a traversal and the Agent-Point one wait for the insertion's reward.
@@ -115,16 +158,10 @@ object Training {
     }
 
     for (dbIdx <- 0 until cfg.nDbs) {
-      val db = TrajGen.genLocal(cfg.profile, cfg.trajsPerDb, cfg.seed + 1000L * (dbIdx + 1))
-      val (_, _, _, _, tmin, tmax) = Model.bounds(db)
-      val sizeT = math.max((tmax - tmin) * cfg.queryTFrac, 1.0)
-      val workload = Workload.generate(cfg.workloadKind, db, cfg.nQueries,
-        cfg.querySizeXY, sizeT, cfg.seed + dbIdx)
-      val n = Model.totalPoints(db)
-      val budget = math.max(2 * db.length, math.round(cfg.budgetFrac * n).toInt)
-      // the octree, its query counts and the ground truth depend only on
-      // (db, workload): one env for every episode on this database
-      val env = new QdtsEnv(db, workload, cfg.params)
+      val env = await(next)
+      next = if (dbIdx + 1 < cfg.nDbs) trainingEnv(dbIdx + 1) else null
+      val n = Model.totalPoints(env.db)
+      val budget = math.max(2 * env.db.length, math.round(cfg.budgetFrac * n).toInt)
 
       for (_ <- 0 until cfg.episodesPerDb) {
         env.reset()
@@ -164,9 +201,12 @@ object Training {
           if (sinceWindow >= cfg.params.delta) flushWindow()
         }
         if (sinceWindow > 0) flushWindow()
-        validate()
+        // snapshot on this thread: `submit` runs its by-name task on the worker
+        val (cubeW, pointW) = (agents.cube.online.snapshot, agents.point.online.snapshot)
+        validations += submit(validate(cubeW, pointW))
       }
     }
+    validations.foreach(await)
     agents
   }
 }

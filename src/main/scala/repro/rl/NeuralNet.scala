@@ -49,7 +49,7 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
       var s = b1(j); val w = w1(j)
       var i = 0
       while (i < inDim) { s += w(i) * x(i); i += 1 }
-      h(j) = math.tanh(s)
+      h(j) = FdLibm.tanh(s)
       j += 1
     }
     h

@@ -57,7 +57,9 @@ object ErrorMeasures {
 
   /** Smallest absolute angular difference, in [0, π]. */
   def angleDiff(t1: Double, t2: Double): Double = {
-    val d = math.abs(t1 - t2) % (2 * math.Pi)
+    val a = math.abs(t1 - t2)
+    // `%` returns its dividend exactly when it is below the divisor
+    val d = if (a < 2 * math.Pi) a else a % (2 * math.Pi)
     if (d > math.Pi) 2 * math.Pi - d else d
   }
 

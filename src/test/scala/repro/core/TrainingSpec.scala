@@ -58,6 +58,51 @@ class TrainingSpec extends SparkSpec {
       Seq(-4651958910240683127L, -4637655577463042101L))
   }
 
+  test("best-model selection reproduces the pinned validation F1s and best snapshot") {
+    // a config whose validation F1 peaks at the second of four episodes, so
+    // validating any other snapshot than each episode's own changes the pins
+    val cfg2 = cfg.copy(profile = TrajGen.geolife, trajsPerDb = 12, budgetFrac = 0.05,
+      querySizeXY = 300)
+    val a = Training.train(cfg2)
+    def bits(xs: Seq[Double]) = xs.map(java.lang.Double.doubleToLongBits)
+    assert(bits(a.valF1s) === Seq(4605380978949069210L, 4605681218924227243L,
+      4605080738973911177L, 4604480259023595110L)) // 0.8, 0.8333…, 0.7666…, 0.7
+    assert(a.bestValF1 === a.valF1s.max)
+    assert(bits(a.cubeNet.forward(Array.fill(16)(0.1)).toSeq) === Seq(
+      -4635661841727713266L, 4599361892529185289L, 4588650557850824581L,
+      -4628676633709253942L, 4587487564534029968L, 4584020153921798050L,
+      4593990497725566434L, 4588230100859720682L, 4598809739524012413L))
+    assert(bits(a.pointNet.forward(Array.fill(4)(0.1)).toSeq) ===
+      Seq(4600256114166501565L, -4641326237312119978L))
+    // in the pinned run every episode validates at 1.0: the strict `>` keeps
+    // the first episode's snapshot
+    assert(bits(trained.valF1s) === Seq.fill(4)(java.lang.Double.doubleToLongBits(1.0)))
+    assert(bits(trained.cubeNet.forward(Array.fill(16)(0.1)).toSeq) === Seq(
+      -4640071026072376518L, 4587694823924386840L, -4626654371735511976L,
+      -4632835676761066276L, -4632728566507598853L, -4638077808964739585L,
+      -4643436422648543243L, 4591263291756819417L, 4590194901219749834L))
+    assert(bits(trained.pointNet.forward(Array.fill(4)(0.1)).toSeq) ===
+      Seq(-4636423117279279635L, -4637293869723239605L))
+  }
+
+  private def workerAlive: Boolean =
+    Thread.getAllStackTraces.keySet.toArray(Array.empty[Thread]).exists(t =>
+      t.getName == "training-worker" && t.isAlive)
+
+  test("train leaves no worker thread behind when it returns") {
+    Training.train(cfg.copy(nDbs = 1, episodesPerDb = 1))
+    assert(!workerAlive)
+  }
+
+  test("train rethrows the exception of a failed worker task and leaves no worker thread behind") {
+    // the training databases' workloads are built on the worker
+    val e = intercept[IllegalArgumentException] {
+      Training.train(cfg.copy(workloadKind = "no-such-kind", nDbs = 50))
+    }
+    assert(e.getMessage === "unknown workload no-such-kind")
+    assert(!workerAlive)
+  }
+
   test("trained policies drive inference without errors and meet budgets") {
     val db = TrajGen.genLocal(TrajGen.chengdu, 12, 77)
     val (_, _, _, _, tmin, tmax) = Model.bounds(db)

@@ -11,7 +11,7 @@ object BenchShared extends Figures.Inputs {
   /** Append a rendered table to bench_results.md so every run leaves a record. */
   def record(text: String): Unit = {
     val p = java.nio.file.Paths.get("bench_results.md")
-    java.nio.file.Files.write(p, text.getBytes,
+    java.nio.file.Files.write(p, text.getBytes(java.nio.charset.StandardCharsets.UTF_8),
       java.nio.file.StandardOpenOption.CREATE, java.nio.file.StandardOpenOption.APPEND)
   }
 }

@@ -115,11 +115,17 @@ object Experiments {
       db.indices.iterator.filter(hit).map(db(_).id).toSet
     }
 
+    /** A query trajectory's own time window. A zero-point trajectory has
+      * none; it gets the one-instant window [0, 0], which its empty query
+      * answers the same way on every database.
+      */
+    private def ownWindow(q: Traj): (Double, Double) =
+      if (q.points.isEmpty) (0.0, 0.0) else (q.points.head.t, q.points.last.t)
+
     // --- kNN queries: sampled query trajectories over their own windows ---
     private val rng = new java.util.Random(seed + 1)
     private val knnIdx: Array[Int] = Array.fill(nKnn)(rng.nextInt(db.length))
-    private val knnWin: Array[(Double, Double)] =
-      knnIdx.map(i => (db(i).points.head.t, db(i).points.last.t))
+    private val knnWin: Array[(Double, Double)] = knnIdx.map(i => ownWindow(db(i)))
     private val edrEps = 2000.0
     private val knnGtEdr: Array[Seq[Long]] = knnIdx.zip(knnWin).map { case (i, (ts, te)) =>
       KnnQuery.knn(db, db(i), ts, te, knnK, KnnQuery.EDR, edrEps)
@@ -130,10 +136,10 @@ object Experiments {
 
     // --- similarity queries (paper: 5km threshold) ---
     private val simIdx: Array[Int] = Array.fill(nSim)(rng.nextInt(db.length))
+    private val simWin: Array[(Double, Double)] = simIdx.map(i => ownWindow(db(i)))
     private val simDelta = 5000.0
-    private val simGt: Array[Set[Long]] = simIdx.map { i =>
-      val q = db(i)
-      SimilarityQuery.similar(db, q, q.points.head.t, q.points.last.t, simDelta)
+    private val simGt: Array[Set[Long]] = simIdx.zip(simWin).map { case (i, (ts, te)) =>
+      SimilarityQuery.similar(db, db(i), ts, te, simDelta)
     }
 
     // --- clustering (TRACLUS) on a fixed subset ---
@@ -162,9 +168,8 @@ object Experiments {
           KnnQuery.knn(simp, db(knnIdx(j)), ts, te, knnK, KnnQuery.Embed))
       })
       val sim = Quality.mean(simIdx.indices.map { j =>
-        val q = db(simIdx(j))
-        Quality.f1(simGt(j),
-          SimilarityQuery.similar(simp, q, q.points.head.t, q.points.last.t, simDelta))
+        val (ts, te) = simWin(j)
+        Quality.f1(simGt(j), SimilarityQuery.similar(simp, db(simIdx(j)), ts, te, simDelta))
       })
       val clu = Quality.f1(cluGt,
         Traclus.clusterPairs(simp.filter(t => cluIds(t.id)), cluTol, cluEps, cluMin))

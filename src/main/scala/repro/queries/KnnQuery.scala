@@ -6,7 +6,8 @@ import repro.core.{Model, Traj}
   * return the k database trajectories with the smallest dissimilarity to the
   * query restricted to that window. Dissimilarity is EDR or the embedding
   * distance (the t2vec substitute). Trajectories empty in the window rank last.
-  * Ties break by trajectory id for determinism.
+  * Ties break by trajectory id for determinism. Under EDR the query window is
+  * the kernel's pattern, built once per call.
   */
 object KnnQuery {
 
@@ -19,10 +20,11 @@ object KnnQuery {
     val qw = q.window(ts, te)
     val scored: Array[(Double, Long)] = sim match {
       case EDR =>
+        val qp = Edr.pattern(qw.points, Edr.DefaultMaxLen)
         db.map { tr =>
           val w = tr.window(ts, te)
           val d = if (w.points.isEmpty || qw.points.isEmpty) Double.MaxValue
-                  else Edr.edr(qw.points, w.points, edrEps)
+                  else Edr.distance(qp, w.points, edrEps, Edr.DefaultMaxLen)
           (d, tr.id)
         }
       case Embed =>

@@ -2,7 +2,7 @@ package repro.exp
 
 import repro.SparkSpec
 import repro.baselines.TopDown
-import repro.core.Model
+import repro.core.{Model, SimpleDB, Traj}
 import repro.data.TrajGen
 import repro.traj.ErrorMeasures
 
@@ -70,6 +70,19 @@ class ExperimentsSpec extends SparkSpec {
       val got = Seq(f.range, f.knnEdr, f.knnEmbed, f.similarity, f.clustering)
         .map(v => java.lang.Long.toHexString(java.lang.Double.doubleToRawLongBits(v)))
       assert(got === bits, s"$method $frac: ${f.fmt}")
+    }
+  }
+
+  test("the evaluator builds and scores a DB that holds a zero-point trajectory") {
+    val withEmpty = Experiments.benchDb(nTrajs = 5) :+ Traj(999, Array.empty)
+    val identity = SimpleDB(withEmpty.map(t => t.id -> Array.range(0, t.length)).toMap)
+    for (seed <- 0L to 5L) {
+      val ev = new Experiments.Evaluator(withEmpty, "data", seed)
+      for (s <- Seq(identity, Model.firstLast(withEmpty))) {
+        val f = ev.evaluate(s)
+        for (v <- Seq(f.range, f.knnEdr, f.knnEmbed, f.similarity, f.clustering))
+          assert(v >= 0.0 && v <= 1.0, s"seed=$seed ${f.fmt}")
+      }
     }
   }
 

@@ -4,7 +4,9 @@ import org.scalacheck.Gen
 import repro.{PropSupport, SparkSpec}
 import repro.core.Point
 
-/** EDR dynamic-program tests. */
+/** EDR tests: the bit-parallel kernel, checked against the dynamic program
+  * (`edrReference`) it replaced.
+  */
 class EdrSpec extends SparkSpec with PropSupport {
 
   private def pts(xs: (Double, Double)*): Array[Point] =
@@ -107,5 +109,74 @@ class EdrSpec extends SparkSpec with PropSupport {
     val b = pts((0, 0), (9, 9), (2, 2))
     assert(Edr.edr(a, b, 0.1, maxLen = 2) >= 0) // just runs
     assert(Edr.edr(a, b, 0.1, maxLen = 100) === 1.0)
+  }
+
+  private def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
+
+  /** `n` points on a 4×4 integer grid (many duplicates and matches), with
+    * NaN and ±∞ coordinates mixed in at rate `special`.
+    */
+  private def seq(n: Int, rng: java.util.Random, special: Double = 0.05): Array[Point] = {
+    def coord(): Double =
+      if (rng.nextDouble() < special) rng.nextInt(3) match {
+        case 0 => Double.NaN
+        case 1 => Double.PositiveInfinity
+        case _ => Double.NegativeInfinity
+      }
+      else rng.nextInt(4).toDouble
+    Array.tabulate(n)(i => Point(coord(), coord(), i))
+  }
+
+  private val wordEdges = Seq(0, 1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257, 300)
+
+  test("edr equals edrReference bit for bit on random inputs") {
+    val lengths = Gen.frequency(1 -> Gen.oneOf(wordEdges), 1 -> Gen.chooseNum(0, 300))
+    val epsValues = Gen.oneOf(0.0, -1.0, Double.NaN, Double.PositiveInfinity, 1.0, 2.0, 0.5)
+    val maxLens = Gen.oneOf(2, 3, 64, 65, 256, 1000)
+    val cases = for {
+      n <- lengths; m <- lengths; eps <- epsValues; maxLen <- maxLens
+      seed <- Gen.chooseNum(0L, Long.MaxValue)
+    } yield (n, m, eps, maxLen, seed)
+    var multiWord, partial, special, negOrNaNEps, infEps = 0
+    forAllN(cases, 400) { case (n, m, eps, maxLen, seed) =>
+      val rng = new java.util.Random(seed)
+      val a = seq(n, rng); val b = seq(m, rng)
+      val got = Edr.edr(a, b, eps, maxLen)
+      assert(bits(got) === bits(Edr.edrReference(a, b, eps, maxLen)),
+        s"n=$n m=$m eps=$eps maxLen=$maxLen seed=$seed")
+      val (na, nb) = (math.min(n, maxLen), math.min(m, maxLen))
+      if (na > 64 && nb > 0) multiWord += 1
+      if (na > 64 && got < math.max(na, nb)) partial += 1
+      if ((a ++ b).exists(p => !java.lang.Double.isFinite(p.x) || !java.lang.Double.isFinite(p.y))) special += 1
+      if (!(eps >= 0)) negOrNaNEps += 1
+      if (eps.isPosInfinity) infEps += 1
+    }
+    assert(multiWord > 100 && partial > 75 && special > 200 && negOrNaNEps > 60 && infEps > 30,
+      s"multiWord=$multiWord partial=$partial special=$special negOrNaNEps=$negOrNaNEps infEps=$infEps")
+  }
+
+  test("edr equals edrReference for every pattern length 0-300 across the word edges") {
+    val rng = new java.util.Random(63)
+    var crossings = 0
+    for (n <- 0 to 300; m <- Seq(0, 1, 2, 64, 129, 300); eps <- Seq(0.0, 1.0)) {
+      val a = seq(n, rng, special = 0.01); val b = seq(m, rng, special = 0.01)
+      for ((x, y) <- Seq((a, b), (b, a)))
+        assert(bits(Edr.edr(x, y, eps, 1000)) === bits(Edr.edrReference(x, y, eps, 1000)),
+          s"n=${x.length} m=${y.length} eps=$eps")
+      if (wordEdges.contains(n) && n > 2 && m > 0) crossings += 1
+    }
+    assert(crossings === 13 * 5 * 2)
+  }
+
+  test("edr equals edrReference on 700-point inputs at every maxLen") {
+    val rng = new java.util.Random(700)
+    for (maxLen <- Seq(2, 64, 65, 256, 1000); eps <- Seq(0.0, 1.0, 2.0)) {
+      val a = seq(700, rng); val b = seq(700 - rng.nextInt(50), rng)
+      for ((x, y) <- Seq((a, b), (b, a))) {
+        val d = Edr.edr(x, y, eps, maxLen)
+        assert(bits(d) === bits(Edr.edrReference(x, y, eps, maxLen)), s"maxLen=$maxLen eps=$eps")
+        assert(d <= math.min(700, maxLen))
+      }
+    }
   }
 }

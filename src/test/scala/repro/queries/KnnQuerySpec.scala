@@ -1,8 +1,11 @@
 package repro.queries
 
 import repro.SparkSpec
-import repro.core.{Point, Traj}
+import repro.core.{Model, Point, Traj}
 import repro.data.TrajGen
+import repro.exp.Experiments
+import repro.baselines.TopDown
+import repro.traj.ErrorMeasures
 
 /** kNN query tests with EDR and the embedding similarity. */
 class KnnQuerySpec extends SparkSpec {
@@ -68,5 +71,29 @@ class KnnQuerySpec extends SparkSpec {
     val rs = KnnQuery.knn(simp, gdb(3), tmin, tmax, 3, KnnQuery.Embed)
     val f1 = Quality.knnF1(ro, rs)
     assert(f1 >= 0.0 && f1 <= 1.0)
+  }
+
+  /** EDR kNN as `knn` ranks it, with the dynamic-program EDR. */
+  private def knnReference(db: Array[Traj], q: Traj, ts: Double, te: Double, k: Int): Seq[Long] = {
+    val qw = q.window(ts, te)
+    db.map { tr =>
+      val w = tr.window(ts, te)
+      val d = if (w.points.isEmpty || qw.points.isEmpty) Double.MaxValue
+              else Edr.edrReference(qw.points, w.points, 2000.0)
+      (d, tr.id)
+    }.sortBy { case (d, id) => (d, id) }.take(k).map(_._2).toSeq
+  }
+
+  test("EDR kNN ranks as edrReference does on a bench DB and its 2% simplification") {
+    val bench = Experiments.benchDb(nTrajs = 24)
+    val w = (0.02 * Model.totalPoints(bench)).toInt
+    val simp = TopDown.simplifyW(ErrorMeasures.PED, bench, w).materialise(bench)
+    for (db <- Seq(bench, simp); i <- Seq(0, 5, 11, 17, 23)) {
+      val q = bench(i)
+      val (ts, te) = (q.points.head.t, q.points.last.t)
+      for (k <- Seq(3, db.length))
+        assert(KnnQuery.knn(db, q, ts, te, k, KnnQuery.EDR) === knnReference(db, q, ts, te, k),
+          s"query $i k=$k on ${db.map(_.length).sum} points")
+    }
   }
 }

@@ -128,9 +128,6 @@ object Model {
     (xmin, xmax, ymin, ymax, tmin, tmax)
   }
 
-  /** Trivial simplification: first+last point of every trajectory. */
-  def firstLast(db: Array[Traj]): SimpleDB = SimpleDB(db.map(t => t.id -> endpoints(t.length)).toMap)
-
   /** Indices of the first and last point of a trajectory of `len` points,
     * without repeating index 0 when there is only one; none when it is empty.
     */

@@ -102,18 +102,20 @@ object Experiments {
     // --- range queries (paper: 2km x 2km x 7 days ~= the whole span) ---
     // rejection-sample to non-empty ground truths: data-distribution queries
     // are non-empty by construction, and empty-result queries score F1=1 for
-    // every method, only diluting the measure. Both scans are answered from
-    // an octree over `db`, with the same result as `RangeQuery.inMemory`
+    // every method, only diluting the measure. Each raw query is answered
+    // once, from an octree over `db`, with the same result as
+    // `RangeQuery.inMemory`; its hits give both the filter and the ground truth
     private val rangeIndex = new Octree(db, QdtsParams().maxLevel, QdtsParams().leafCap)
-    val rangeQs: Array[Box] = {
-      val raw = Workload.generate(workloadKind, db, nRange * 4, 2000.0, span, seed)
-      val nonEmpty = raw.filter(q => rangeIndex.trajsIn(q).contains(true))
+    private val rangeSel: Array[(Box, Set[Long])] = {
+      val raw = Workload.generate(workloadKind, db, nRange * 4, 2000.0, span, seed).map { q =>
+        val hit = rangeIndex.trajsIn(q)
+        (q, db.indices.iterator.filter(hit).map(db(_).id).toSet)
+      }
+      val nonEmpty = raw.filter(_._2.nonEmpty)
       (if (nonEmpty.length >= nRange) nonEmpty else raw).take(nRange)
     }
-    private val rangeGt: Array[Set[Long]] = rangeQs.map { q =>
-      val hit = rangeIndex.trajsIn(q)
-      db.indices.iterator.filter(hit).map(db(_).id).toSet
-    }
+    val rangeQs: Array[Box] = rangeSel.map(_._1)
+    private val rangeGt: Array[Set[Long]] = rangeSel.map(_._2)
 
     /** A query trajectory's own time window. A zero-point trajectory has
       * none; it gets the one-instant window [0, 0], which its empty query

@@ -15,11 +15,15 @@ object Workload {
     Box(cx - sizeXY / 2, cx + sizeXY / 2, cy - sizeXY / 2, cy + sizeXY / 2,
         ct - sizeT / 2, ct + sizeT / 2)
 
-  /** Centres sampled uniformly from the database points (the "data distribution"). */
+  /** Centres sampled uniformly from the database points (the "data
+    * distribution"). Needs a point in `db` unless `n` is 0.
+    */
   def dataDist(db: Array[Traj], n: Int, sizeXY: Double, sizeT: Double,
                seed: Long): Array[Box] = {
+    if (n == 0) return Array.empty
     val rng = new java.util.Random(seed)
     val flat = db.filter(_.length > 0)
+    require(flat.nonEmpty, s"data-distribution workload of $n queries needs a database with points")
     Array.fill(n) {
       val tr = flat(rng.nextInt(flat.length))
       val p = tr.points(rng.nextInt(tr.length))

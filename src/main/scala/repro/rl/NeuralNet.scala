@@ -38,11 +38,8 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
   private val gW2 = Array.ofDim[Double](outDim, hidden); private val gB2 = new Array[Double](outDim)
   private val hBuf = new Array[Double](hidden); private val dh = new Array[Double](hidden)
 
-  /** Hidden activations for input x. */
-  def hiddenOut(x: Array[Double]): Array[Double] = hiddenInto(x, new Array[Double](hidden))
-
   /** Hidden activations for input x, written to `h`; returns `h`. */
-  private def hiddenInto(x: Array[Double], h: Array[Double]): Array[Double] = {
+  private[rl] def hiddenInto(x: Array[Double], h: Array[Double]): Array[Double] = {
     require(x.length == inDim, s"input dim ${x.length} != $inDim")
     var j = 0
     while (j < hidden) {
@@ -75,17 +72,9 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
     out
   }
 
-  /** One Adam step on a batch of (state, action, tdTarget): minimises
-    * mean (Q(s)(a) - target)^2. Returns the batch loss. The batch must not
-    * be empty.
-    */
-  def trainBatch(batch: Seq[(Array[Double], Int, Double)], lr: Double): Double = {
-    val (xs, as, ys) = batch.unzip3
-    trainBatch(xs.toArray, as.toArray, ys.toArray, lr)
-  }
-
-  /** `trainBatch` on parallel arrays: state `xs(b)`, action `as(b)`, target
-    * `ys(b)`. Allocates nothing.
+  /** One Adam step on a batch of (state `xs(b)`, action `as(b)`, tdTarget
+    * `ys(b)`): minimises mean (Q(s)(a) - target)^2. Returns the batch loss.
+    * The batch must not be empty. Allocates nothing.
     */
   private[rl] def trainBatch(xs: Array[Array[Double]], as: Array[Int], ys: Array[Double],
                              lr: Double): Double = {

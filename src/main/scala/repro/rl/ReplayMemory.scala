@@ -29,12 +29,9 @@ final class ReplayMemory(val capacity: Int, seed: Long = 11) {
     if (filled < capacity) filled += 1
   }
 
-  def sample(n: Int): Seq[Transition] =
-    if (filled == 0) Seq.empty
-    else Seq.fill(math.min(n, filled))(buf(rng.nextInt(filled)))
-
-  /** Fill `out` with a uniform sample, drawing exactly as `sample(out.length)`
-    * does; needs at least `out.length` transitions stored.
+  /** Fill `out` with a uniform sample with replacement: slot `i` gets the
+    * transition at `rng.nextInt(size)`, drawn in slot order. Needs at least
+    * `out.length` transitions stored.
     */
   def sampleInto(out: Array[Transition]): Unit = {
     require(filled >= out.length, s"sample of ${out.length} from $filled transitions")

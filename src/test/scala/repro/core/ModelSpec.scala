@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.core.ModelTestOps.firstLast
 
 /** Tests of the trajectory data model and its Spark relation converters. */
 class ModelSpec extends SparkSpec {
@@ -91,14 +92,14 @@ class ModelSpec extends SparkSpec {
   }
 
   test("firstLast keeps exactly the endpoints") {
-    val s = Model.firstLast(db)
+    val s = firstLast(db)
     assert(s.kept(0L).toSeq === Seq(0, 3))
     assert(s.kept(1L).toSeq === Seq(0, 1))
     assert(s.totalPoints === 4)
   }
 
   test("firstLast on a single-point trajectory keeps one point") {
-    val s = Model.firstLast(Array(tr(7, (1, 1, 1))))
+    val s = firstLast(Array(tr(7, (1, 1, 1))))
     assert(s.kept(7L).toSeq === Seq(0))
   }
 
@@ -118,10 +119,10 @@ class ModelSpec extends SparkSpec {
   test("a zero-point trajectory has no endpoints and materialises empty") {
     val empty = Traj(9, Array.empty[Point])
     assert(Model.endpoints(0).isEmpty)
-    assert(Model.firstLast(Array(t1, empty)).kept(9L).isEmpty)
+    assert(firstLast(Array(t1, empty)).kept(9L).isEmpty)
     val m = SimpleDB(Map.empty).materialise(Array(t1, empty))
     assert(m(1).points.isEmpty)
-    assert(Model.firstLast(Array(t1, empty)).materialise(Array(t1, empty))(1).points.isEmpty)
+    assert(firstLast(Array(t1, empty)).materialise(Array(t1, empty))(1).points.isEmpty)
   }
 
   test("totalPoints sums lengths") { assert(Model.totalPoints(db) === 6L) }

@@ -1,6 +1,7 @@
 package repro.exp
 
 import repro.SparkSpec
+import repro.core.ModelTestOps.firstLast
 import repro.baselines.TopDown
 import repro.core.{Model, SimpleDB, Traj}
 import repro.data.TrajGen
@@ -42,7 +43,7 @@ class ExperimentsSpec extends SparkSpec {
 
   test("endpoint-only simplification scores within [0,1] and below identity on range") {
     val ev = new Experiments.Evaluator(db, "data", nRange = 15, nKnn = 2, nSim = 2, clusterTrajs = 8)
-    val f1 = ev.evaluate(Model.firstLast(db))
+    val f1 = ev.evaluate(firstLast(db))
     for (v <- Seq(f1.range, f1.knnEdr, f1.knnEmbed, f1.similarity, f1.clustering))
       assert(v >= 0.0 && v <= 1.0)
     assert(f1.range < 1.0) // straight-line 2-point trajectories must lose some queries
@@ -50,7 +51,7 @@ class ExperimentsSpec extends SparkSpec {
 
   test("rangeF1 agrees with the range component of evaluate") {
     val ev = new Experiments.Evaluator(db, "data", nRange = 10, nKnn = 2, nSim = 2, clusterTrajs = 6)
-    val s = Model.firstLast(db)
+    val s = firstLast(db)
     assert(math.abs(ev.rangeF1(s) - ev.evaluate(s).range) < 1e-12)
   }
 
@@ -63,7 +64,7 @@ class ExperimentsSpec extends SparkSpec {
     for (line <- pins) {
       val Array(method, frac, bits @ _*) = line.split(" ")
       val s =
-        if (method == "endpoints") Model.firstLast(bench)
+        if (method == "endpoints") firstLast(bench)
         else TopDown.simplifyW(ErrorMeasures.byName(method), bench,
           (frac.toDouble * Model.totalPoints(bench)).toInt)
       val f = ev.evaluate(s)
@@ -78,7 +79,7 @@ class ExperimentsSpec extends SparkSpec {
     val identity = SimpleDB(withEmpty.map(t => t.id -> Array.range(0, t.length)).toMap)
     for (seed <- 0L to 5L) {
       val ev = new Experiments.Evaluator(withEmpty, "data", seed)
-      for (s <- Seq(identity, Model.firstLast(withEmpty))) {
+      for (s <- Seq(identity, firstLast(withEmpty))) {
         val f = ev.evaluate(s)
         for (v <- Seq(f.range, f.knnEdr, f.knnEmbed, f.similarity, f.clustering))
           assert(v >= 0.0 && v <= 1.0, s"seed=$seed ${f.fmt}")

@@ -66,7 +66,7 @@ class KnnQuerySpec extends SparkSpec {
   test("kNN F1 between original and endpoint-simplified database is in (0,1]") {
     val gdb = TrajGen.genLocal(TrajGen.chengdu, 20, 5)
     val (_, _, _, _, tmin, tmax) = repro.core.Model.bounds(gdb)
-    val simp = repro.core.Model.firstLast(gdb).materialise(gdb)
+    val simp = repro.core.ModelTestOps.firstLast(gdb).materialise(gdb)
     val ro = KnnQuery.knn(gdb, gdb(3), tmin, tmax, 3, KnnQuery.Embed)
     val rs = KnnQuery.knn(simp, gdb(3), tmin, tmax, 3, KnnQuery.Embed)
     val f1 = Quality.knnF1(ro, rs)

@@ -1,6 +1,7 @@
 package repro.queries
 
 import repro.SparkSpec
+import repro.core.ModelTestOps.firstLast
 import repro.core.{Box, Model, Point, Traj}
 import repro.data.TrajGen
 
@@ -69,7 +70,7 @@ class RangeQuerySpec extends SparkSpec {
   test("range query on a simplified relation returns a subset per query") {
     val gdb = TrajGen.genLocal(TrajGen.chengdu, 10, 13)
     val df = Model.toDF(spark, gdb.toSeq)
-    val s = Model.firstLast(gdb)
+    val s = firstLast(gdb)
     val sdf = Model.simplifyDF(df, s)
     val qs = Workload.dataDist(gdb, 8, 2000, 86400, seed = 17)
     for (q <- qs) {

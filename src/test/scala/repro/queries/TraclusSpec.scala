@@ -185,6 +185,129 @@ class TraclusSpec extends SparkSpec with PropSupport {
     }
   }
 
+  // --- the grid of dbscan on spread segment sets ---
+
+  /** Spread segment sets, with the unit their offsets are drawn in, in one
+    * of three modes:
+    *  - `scatter`: bundles of near-parallel segments with centres over 20-40
+    *    cut-offs of eps = 2.5 units on each axis, duplicates, and segments 5-15
+    *    cut-offs long that span many cells;
+    *  - `huge`: the same around x, y = ±1e300 or ±1e150, in a unit of 1e-10
+    *    of that (the cut-off's 1e-9 margin of the largest coordinate is then
+    *    10 units). Near 1e300 the squared cut-off overflows and the grid has
+    *    one cell, except for eps = NaN (cut-off 0);
+    *  - `identical`: one segment, or one point, repeated.
+    */
+  private val spreadSets: Gen[(String, Double, Array[Seg])] = for {
+    seed <- Gen.choose(0L, Long.MaxValue)
+    n <- Gen.chooseNum(16, 150)
+    mode <- Gen.frequency(6 -> "scatter", 2 -> "huge", 1 -> "identical")
+  } yield {
+    val rng = new java.util.Random(seed)
+    def u(lo: Double, hi: Double) = lo + (hi - lo) * rng.nextDouble()
+    // one origin per case; a third of the huge cases put each bundle at ±o
+    val o =
+      if (mode == "huge") Seq(1e300, 1e150)(rng.nextInt(2)) * (if (rng.nextBoolean()) 1 else -1)
+      else Seq(0.0, 1e4, -3.7e5)(rng.nextInt(3))
+    val cu = if (mode == "huge") math.abs(o) * 1e-10 else unit
+    val side = u(20, 40) * 5 * cu
+    val mixed = mode == "huge" && rng.nextInt(3) == 0
+    def origin() = if (mixed && rng.nextBoolean()) -o else o
+    val out = scala.collection.mutable.ArrayBuffer.empty[Seg]
+    if (mode == "identical") {
+      val (x, y) = (origin() + u(-6, 6) * cu, origin() + u(-6, 6) * cu)
+      val l = if (rng.nextBoolean()) 0.0 else u(0.2, 4) * cu
+      while (out.length < n) out += Seg(out.length, Point(x, y, 0), Point(x + l, y - l, 0))
+    }
+    while (out.length < n) {
+      val x0 = origin() + u(-0.5, 0.5) * side; val y0 = origin() + u(-0.5, 0.5) * side
+      val th = u(0, 2 * math.Pi); val len = u(0.2, 4) * cu
+      val members = 1 + rng.nextInt(6)
+      var k = 0
+      while (k < members && out.length < n) {
+        val i = out.length
+        val r = u(0, 2.5) * cu; val off = u(0, 2 * math.Pi)
+        val ax = x0 + r * math.cos(off); val ay = y0 + r * math.sin(off)
+        out += (rng.nextInt(10) match {
+          case 0 if i > 0 => out(rng.nextInt(i)).copy(trajId = i)
+          case 1 =>
+            val l = u(5, 15) * 5 * cu; val t = u(0, 2 * math.Pi)
+            Seg(i, Point(ax, ay, 0), Point(ax + l * math.cos(t), ay + l * math.sin(t), 0))
+          case _ =>
+            val t = th + u(-0.3, 0.3); val l = len * u(0.7, 1.3)
+            Seg(i, Point(ax, ay, 0), Point(ax + l * math.cos(t), ay + l * math.sin(t), 0))
+        })
+        k += 1
+      }
+    }
+    (mode, cu, out.toArray)
+  }
+
+  /** The smallest coordinate in [lo, hi] that `cell` puts in cell `k` or
+    * later, by bisection: a cell boundary, exact to the last bit.
+    */
+  private def boundary(cell: Double => Int, k: Int, lo0: Double, hi0: Double): Double = {
+    var lo = lo0; var hi = hi0
+    var mid = lo * 0.5 + hi * 0.5
+    while (mid != lo && mid != hi) {
+      if (cell(mid) >= k) hi = mid else lo = mid
+      mid = lo * 0.5 + hi * 0.5
+    }
+    hi
+  }
+
+  test("dbscan equals dbscanReference on spread, long, boundary, huge and identical segment sets") {
+    var fourByFour = 0 // cases with at least 4 cells on each axis
+    var onBoundary = 0 // added box edges exactly on a cell boundary
+    var spanning = 0 // segments over at least 3 cells on an axis
+    var hugeCells = 0 // huge cases with at least 4 cells on each axis
+    val modes = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    forAllN3(spreadSets, epsValues, Gen.oneOf(0, 1, 2, 3, 5), 300) { case ((mode, cu, base), eps0, minLns) =>
+      // eps in the case's unit; 1e300, infinities, NaN, 0 and -1 as they are
+      val eps = if (math.abs(eps0) > 1 && math.abs(eps0) < 1e299) eps0 / unit * cu else eps0
+      val rng = new java.util.Random(base.length * 31L + minLns)
+      def u(lo: Double, hi: Double) = lo + (hi - lo) * rng.nextDouble()
+      // pairs of segments whose boxes end just before and start exactly on a
+      // boundary of the grid of `base`, inside its extent
+      val g0 = new Traclus.SegGrid(new Traclus.SegArrays(base), eps)
+      val (xLo, xHi) = (base.map(s => math.min(s.a.x, s.b.x)).min, base.map(s => math.max(s.a.x, s.b.x)).max)
+      val (yLo, yHi) = (base.map(s => math.min(s.a.y, s.b.y)).min, base.map(s => math.max(s.a.y, s.b.y)).max)
+      val added = scala.collection.mutable.ArrayBuffer.empty[(Boolean, Double)]
+      for ((isX, nc) <- Seq((true, g0.nx), (false, g0.ny)) if nc >= 2; _ <- 0 until 3) {
+        val (lo, hi) = if (isX) (xLo, xHi) else (yLo, yHi)
+        val v = boundary(if (isX) g0.cellX else g0.cellY, 1 + rng.nextInt(nc - 1), lo, hi)
+        added += ((isX, v))
+      }
+      val extra = added.zipWithIndex.flatMap { case ((isX, v), k) =>
+        val below = math.nextDown(v)
+        val (lo, hi) = if (isX) (xLo, xHi) else (yLo, yHi)
+        val (oLo, oHi) = if (isX) (yLo, yHi) else (xLo, xHi)
+        val d = math.min(u(0, 2) * cu, math.min(hi - v, below - lo))
+        val o = u(oLo, oHi); val o2 = math.min(o + u(0, 2) * cu, oHi)
+        def pt(along: Double, across: Double) = if (isX) Point(along, across, 0) else Point(across, along, 0)
+        val id = base.length + 2 * k
+        Seq(Seg(id, pt(v, o), pt(v + d, o2)), Seg(id + 1, pt(below - d, o2), pt(below, o)))
+      }
+      val segs = base ++ extra
+      assert(Traclus.dbscan(segs, eps, minLns).toSeq === Traclus.dbscanReference(segs, eps, minLns).toSeq,
+        s"mode=$mode eps=$eps minLns=$minLns n=${segs.length}")
+      val g = new Traclus.SegGrid(new Traclus.SegArrays(segs), eps)
+      if (g.nx >= 4 && g.ny >= 4) fourByFour += 1
+      onBoundary += added.count { case (isX, v) =>
+        val cell = if (isX) g.cellX _ else g.cellY _
+        cell(v) == cell(math.nextDown(v)) + 1
+      }
+      spanning += segs.count { s =>
+        g.cellX(math.max(s.a.x, s.b.x)) - g.cellX(math.min(s.a.x, s.b.x)) >= 2 ||
+          g.cellY(math.max(s.a.y, s.b.y)) - g.cellY(math.min(s.a.y, s.b.y)) >= 2
+      }
+      if (mode == "huge" && g.nx >= 4 && g.ny >= 4) hugeCells += 1
+      modes(mode) += 1
+    }
+    assert(fourByFour > 100 && onBoundary > 500 && spanning > 400 && hugeCells > 15 && modes("identical") > 15,
+      s"fourByFour=$fourByFour onBoundary=$onBoundary spanning=$spanning hugeCells=$hugeCells modes=$modes")
+  }
+
   /** `segDist` as it was written before the primitive kernel. */
   private def segDistInline(s1: Seg, s2: Seg): Double = {
     val (li, lj) = if (s1.len >= s2.len) (s1, s2) else (s2, s1)
@@ -230,7 +353,12 @@ class TraclusSpec extends SparkSpec with PropSupport {
     assert(s1.len === s2.len)
     assert(Traclus.segDist(s1, s2) !== Traclus.segDist(s2, s1))
     val eps = math.min(Traclus.segDist(s1, s2), Traclus.segDist(s2, s1))
-    val segs = Array(s1, s2, s1.copy(trajId = 2), s2.copy(trajId = 3))
-    assert(Traclus.dbscan(segs, eps, 3).toSeq === Traclus.dbscanReference(segs, eps, 3).toSeq)
+    // with a shifted copy of one of them, only one order makes a core segment
+    val s2Up = Seg(4, Point(7, -1, 0), Point(47, 29, 0))
+    val s1Up = Seg(5, Point(0, 1, 0), Point(30, 41, 0))
+    for (segs <- Seq(Array(s1, s2, s1.copy(trajId = 2), s2.copy(trajId = 3)), Array(s1, s2, s2Up), Array(s2, s1, s1Up)))
+      assert(Traclus.dbscan(segs, eps, 3).toSeq === Traclus.dbscanReference(segs, eps, 3).toSeq)
+    assert(Traclus.dbscanReference(Array(s1, s2, s2Up), eps, 3).toSeq === Seq(-1, -1, -1))
+    assert(Traclus.dbscanReference(Array(s2, s1, s1Up), eps, 3).toSeq === Seq(0, 0, 0))
   }
 }

@@ -1,7 +1,7 @@
 package repro.queries
 
 import repro.SparkSpec
-import repro.core.Model
+import repro.core.{Model, Traj}
 import repro.data.TrajGen
 
 /** Workload generator tests: sizes, determinism, distribution shape. */
@@ -28,6 +28,19 @@ class WorkloadSpec extends SparkSpec {
     val qs = Workload.dataDist(db, 20, 2000, 86400, seed = 7)
     val nonEmpty = qs.count(q => RangeQuery.inMemory(db, q).nonEmpty)
     assert(nonEmpty === 20) // each query's centre itself is a point
+  }
+
+  test("dataDist on a database with no points fails and names the cause") {
+    for (noPoints <- Seq(Array.empty[Traj], Array(Traj(0, Array.empty), Traj(1, Array.empty)))) {
+      val e = intercept[IllegalArgumentException] { Workload.dataDist(noPoints, 5, 2000, 86400, seed = 1) }
+      assert(e.getMessage.contains("needs a database with points"), e.getMessage)
+    }
+  }
+
+  test("dataDist of zero queries is empty, also on a database with no points") {
+    assert(Workload.dataDist(db, 0, 2000, 86400, seed = 1).isEmpty)
+    assert(Workload.dataDist(Array.empty, 0, 2000, 86400, seed = 1).isEmpty)
+    assert(Workload.dataDist(Array(Traj(0, Array.empty)), 0, 2000, 86400, seed = 1).isEmpty)
   }
 
   test("gaussian centres stay within the domain") {

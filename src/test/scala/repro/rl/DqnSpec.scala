@@ -1,6 +1,7 @@
 package repro.rl
 
 import repro.SparkSpec
+import repro.rl.RlTestOps._
 
 /** Tests of the replay memory and the DQN learner. */
 class DqnSpec extends SparkSpec {

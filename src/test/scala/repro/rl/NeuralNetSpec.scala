@@ -1,6 +1,7 @@
 package repro.rl
 
 import repro.SparkSpec
+import repro.rl.RlTestOps._
 
 /** Tests of the from-scratch MLP: forward pass, analytic-vs-numeric gradient
   * agreement, optimisation, and weight snapshots.

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{Model, PointRow, SimpleDB, Traj}
+import repro.core.{Model, SimpleDB, Traj}
 import repro.traj.ErrorMeasures
 import repro.traj.ErrorMeasures.{DAD, Measure}
 
@@ -64,30 +64,27 @@ object Baselines {
       m -> r
     }.toMap
 
-  /** Spark-parallel E adaptation: simplify each trajectory in parallel with
-    * `Dataset.groupByKey.flatMapGroups` (per-trajectory algorithms are
-    * embarrassingly parallel). `method` is "topdown" | "bottomup" | "spansearch".
+  /** Spark-parallel E adaptation: each trajectory of the relation is
+    * simplified alone with its E budget `eBudget(r, tr)`, through
+    * `Model.simplifyGroups` (one group per trajectory), whose output rows are
+    * rows of `points` (it also states the input checks). Unlike RL4QDTS's
+    * Spark path, the output does not depend on any partitioning. Every
+    * trajectory keeps at least its endpoints, so the total can exceed r · N by
+    * them. `method` is "topdown" | "bottomup" | "spansearch" (DAD only); an
+    * unknown method or measure fails here, before planning.
     */
   def simplifyESpark(points: DataFrame, method: String, m: Measure, r: Double): DataFrame = {
-    val spark = points.sparkSession
-    import spark.implicits._
     require(r > 0 && r <= 1, s"compression ratio $r out of (0,1]")
-    val mName = m.name
-    val mth = method.toLowerCase
-    Model.toTrajDS(points)
-      .flatMap { tr =>
-        val budget = eBudget(r, tr)
-        val meas = ErrorMeasures.byName(mName)
-        val kept: Array[Int] = mth match {
-          case "topdown"    => TopDown.simplifyOne(meas, tr, budget)
-          case "bottomup"   => BottomUp.simplifyOne(meas, tr, budget)
-          case "spansearch" =>
-            require(meas == DAD, "Span-Search supports DAD only")
-            SpanSearch.simplifyOne(tr, budget)
-          case other => throw new IllegalArgumentException(s"unknown method $other")
-        }
-        kept.iterator.map(i => PointRow(tr.id, i, tr.points(i).x, tr.points(i).y, tr.points(i).t))
-      }
-      .toDF()
+    val one: (Traj, Int) => Array[Int] = method.toLowerCase match {
+      case "topdown"    => TopDown.simplifyOne(m, _, _)
+      case "bottomup"   => BottomUp.simplifyOne(m, _, _)
+      case "spansearch" =>
+        require(m == DAD, "Span-Search supports DAD only")
+        SpanSearch.simplifyOne
+      case other => throw new IllegalArgumentException(s"unknown method $other")
+    }
+    Model.simplifyGroups(points, id => id) { (_, db) =>
+      SimpleDB(db.map(tr => tr.id -> one(tr, eBudget(r, tr))).toMap)
+    }
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** A time-stamped location sample. `t` is in seconds from an arbitrary epoch;
   * `x`/`y` are planar metres (all generators emit a local projected frame, so
@@ -61,59 +60,53 @@ final case class SimpleDB(kept: Map[Long, Array[Int]]) {
   */
 object Model {
 
+  /** The relation rows of one trajectory: `idx` is the position in `tr`. */
+  def rows(tr: Traj): Iterator[PointRow] =
+    tr.points.iterator.zipWithIndex.map { case (p, i) => PointRow(tr.id, i, p.x, p.y, p.t) }
+
   /** In-memory trajectories -> Spark DataFrame with schema (traj_id, idx, x, y, t). */
   def toDF(spark: SparkSession, db: Seq[Traj]): DataFrame = {
     import spark.implicits._
-    val rows = db.flatMap(tr => tr.points.iterator.zipWithIndex.map { case (p, i) =>
-      PointRow(tr.id, i, p.x, p.y, p.t)
-    })
-    spark.createDataset(rows).toDF()
+    spark.createDataset(db.flatMap(rows)).toDF()
   }
 
-  /** Spark relation -> in-memory trajectories (sorted by traj_id, idx).
-    * Only call at repro scale (tests <= SF 0.01, benches <= SF 0.1).
+  /** The one Spark path of both Spark simplifiers: groups the relation's rows
+    * by `groupOf(traj_id)` in one shuffle, builds each group's trajectories in
+    * ascending id order (points in `idx` order, which need not be 0..n-1),
+    * calls `simplify(group, trajectories)`, and writes back the input rows at
+    * the kept positions unchanged, so every output row is a row of `points`.
+    * A group fails, naming the `traj_id`, on a non-finite x, y or t, on a
+    * repeated `(traj_id, idx)`, and on a `t` that does not strictly increase
+    * with `idx`.
     */
-  def collectTrajs(df: DataFrame): Array[Traj] = {
-    val rows = df.select("traj_id", "idx", "x", "y", "t").collect()
-    rows
-      .groupBy(_.getLong(0))
-      .toArray
-      .sortBy(_._1)
-      .map { case (id, rs) =>
-        val pts = rs.sortBy(_.getInt(1)).map(r => Point(r.getDouble(2), r.getDouble(3), r.getDouble(4)))
-        Traj(id, pts)
-      }
-  }
-
-  /** Distributed variant of collect: groups rows into Traj objects as a Dataset,
-    * keeping the per-trajectory work on executors.
-    */
-  def toTrajDS(df: DataFrame): Dataset[Traj] = {
-    val spark = df.sparkSession
+  def simplifyGroups(points: DataFrame, groupOf: Long => Long)(
+      simplify: (Long, Array[Traj]) => SimpleDB): DataFrame = {
+    val spark = points.sparkSession
     import spark.implicits._
-    df.select("traj_id", "idx", "x", "y", "t")
+    points.select("traj_id", "idx", "x", "y", "t")
       .as[PointRow]
-      .groupByKey(_.traj_id)
-      .mapGroups { (id, it) =>
-        val pts = it.toArray.sortBy(_.idx).map(r => Point(r.x, r.y, r.t))
-        Traj(id, pts)
+      .groupByKey(r => groupOf(r.traj_id))
+      .flatMapGroups { (g, it) =>
+        // one run of rows per trajectory, in ascending (traj_id, idx) order
+        val runs = it.toArray.groupBy(_.traj_id).toArray.sortBy(_._1).map(_._2.sortBy(_.idx))
+        runs.foreach(checkRun)
+        val sdb = simplify(g, runs.map(run => Traj(run(0).traj_id, run.map(r => Point(r.x, r.y, r.t)))))
+        runs.iterator.flatMap(run => sdb.kept(run(0).traj_id).iterator.map(run(_)))
       }
+      .toDF()
   }
 
-  /** Simplified database (kept indices) applied to the Spark relation. */
-  def simplifyDF(df: DataFrame, s: SimpleDB): DataFrame = {
-    val spark = df.sparkSession
-    import spark.implicits._
-    val keptDF = spark
-      .createDataset(s.kept.toSeq.flatMap { case (id, idxs) => idxs.map(i => (id, i)) })
-      .toDF("k_traj_id", "k_idx")
-    df.join(
-        keptDF,
-        df("traj_id") === keptDF("k_traj_id") && df("idx") === keptDF("k_idx"),
-        "inner"
-      )
-      .select(df("traj_id"), df("idx"), df("x"), df("y"), df("t"))
-  }
+  /** Rejects a trajectory's rows, sorted by `idx`, that are not a valid `Traj`. */
+  private def checkRun(run: Array[PointRow]): Unit =
+    for (j <- run.indices) {
+      val r = run(j)
+      def fail(why: String) = throw new IllegalArgumentException(s"trajectory ${r.traj_id}: $why")
+      if (!(r.x.isFinite && r.y.isFinite && r.t.isFinite))
+        fail(s"idx ${r.idx} has a non-finite x, y or t (${r.x}, ${r.y}, ${r.t})")
+      if (j > 0 && r.idx == run(j - 1).idx) fail(s"idx ${r.idx} repeated")
+      if (j > 0 && !(r.t > run(j - 1).t))
+        fail(s"t does not increase at idx ${r.idx} (${run(j - 1).t} then ${r.t})")
+    }
 
   /** Bounding box + time span of a database. */
   def bounds(db: Array[Traj]): (Double, Double, Double, Double, Double, Double) = {

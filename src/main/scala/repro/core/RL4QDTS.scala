@@ -90,35 +90,29 @@ object RL4QDTS {
   }
 
   /** Distributed inference: partition the trajectory relation into `nGroups`
-    * batches, broadcast the trained policy weights, and run RL4QDTS per batch
-    * with a proportional budget via `groupByKey.flatMapGroups` — trajectory
-    * simplification per partition with the RL agents invoked per trajectory
-    * batch. Returns the simplified points relation.
+    * batches by `floorMod(traj_id, nGroups)`, ship the trained policy weights
+    * in the task closure, and run RL4QDTS on each batch with the budget
+    * round(budgetFrac · N_g) through `Model.simplifyGroups`, whose output rows
+    * are rows of `points` (it also states the input checks). RL4QDTS is
+    * collective per group, so the output depends on `nGroups`; `nGroups = 1`
+    * equals the driver-side `simplify` of the whole relation. Since endpoints
+    * are always kept, the result has Σ_g max(E_g, min(round(budgetFrac · N_g),
+    * N_g)) rows, where E_g is group g's endpoint count; the total can exceed
+    * budgetFrac · N by the endpoints.
     */
   def simplifySpark(points: DataFrame, budgetFrac: Double, cubeW: NetWeights,
                     pointW: NetWeights, params: QdtsParams, nGroups: Int,
                     nQueries: Int, querySizeXY: Double, seed: Long = 0,
                     variant: Variant = Variant()): DataFrame = {
-    val spark = points.sparkSession
-    import spark.implicits._
     require(budgetFrac > 0 && budgetFrac <= 1, s"budget fraction $budgetFrac out of (0,1]")
     require(nGroups > 0, s"nGroups must be positive, got $nGroups")
-    Model.toTrajDS(points)
-      .groupByKey(tr => math.floorMod(tr.id, nGroups.toLong))
-      .flatMapGroups { (g, it) =>
-        val db = it.toArray.sortBy(_.id)
-        val n = db.map(_.length.toLong).sum
-        val budget = math.max(2L * db.length, math.round(budgetFrac * n)).toInt
-        val (_, _, _, _, tmin, tmax) = Model.bounds(db)
-        val workload = Workload.dataDist(db, nQueries, querySizeXY,
-          math.max(tmax - tmin, 1.0), seed + g)
-        val sdb = simplify(db, budget, workload, MLP.fromWeights(cubeW),
-          MLP.fromWeights(pointW), params, seed + 31L * g, variant)
-        db.iterator.flatMap { tr =>
-          sdb.kept(tr.id).iterator.map(i =>
-            PointRow(tr.id, i, tr.points(i).x, tr.points(i).y, tr.points(i).t))
-        }
-      }
-      .toDF()
+    Model.simplifyGroups(points, id => math.floorMod(id, nGroups.toLong)) { (g, db) =>
+      val budget = math.round(budgetFrac * Model.totalPoints(db)).toInt
+      val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+      val workload = Workload.dataDist(db, nQueries, querySizeXY,
+        math.max(tmax - tmin, 1.0), seed + g)
+      simplify(db, budget, workload, MLP.fromWeights(cubeW),
+        MLP.fromWeights(pointW), params, seed + 31L * g, variant)
+    }
   }
 }

@@ -1,7 +1,7 @@
 package repro.data
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{Point, PointRow, Traj}
+import repro.core.{Model, Point, Traj}
 
 /** Synthetic trajectory generators standing in for the paper's four real GPS
   * datasets (Geolife, T-Drive, Chengdu, OSM), which are not available in the
@@ -105,10 +105,7 @@ object TrajGen {
       .range(n)
       .as[Long]
       .mapPartitions { ids =>
-        ids.flatMap { id =>
-          val tr = genTraj(profile, seed, id)
-          tr.points.iterator.zipWithIndex.map { case (p, i) => PointRow(id, i, p.x, p.y, p.t) }
-        }
+        ids.flatMap(id => Model.rows(genTraj(profile, seed, id)))
       }
       .toDF()
   }

@@ -8,14 +8,18 @@ import org.scalacheck.rng.Seed
   */
 trait PropSupport {
 
-  /** Evaluate `f` on `n` deterministic samples of `gen`. */
+  /** Evaluate `f` on `n` deterministic samples of `gen`. Each case starts
+    * from the seed that the previous case's generator returned, so a generator
+    * that rejects draws and retries does not replay the previous case.
+    */
   def forAllN[A](gen: Gen[A], n: Int = 100, seed0: Long = 20240814L)(f: A => Unit): Unit = {
     val params = Gen.Parameters.default
     var seed = Seed(seed0)
     var i = 0
     while (i < n) {
-      f(gen.pureApply(params, seed))
-      seed = seed.next
+      val r = gen.doPureApply(params, seed)
+      f(r.retrieve.get)
+      seed = r.seed.next
       i += 1
     }
   }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.SparkSpec
-import repro.core.{Model, Point, Traj}
+import repro.core.{Model, ModelTestOps, Point, Traj}
 import repro.data.TrajGen
 import repro.traj.ErrorMeasures
 
@@ -84,7 +84,7 @@ class BaselinesSpec extends SparkSpec {
   test("simplifyESpark(topdown) equals the driver-side per-trajectory algorithm") {
     val df = Model.toDF(spark, db.toSeq)
     val out = Baselines.simplifyESpark(df, "topdown", ErrorMeasures.SED, 0.1)
-    val viaSpark = Model.collectTrajs(out)
+    val viaSpark = ModelTestOps.collectTrajs(out)
     // same per-trajectory budget formula as simplifyESpark: max(2, r*|T|)
     val localM = db.map { tr =>
       val kept = TopDown.simplifyOne(ErrorMeasures.SED, tr, math.max(2, (0.1 * tr.length).toInt))
@@ -117,6 +117,10 @@ class BaselinesSpec extends SparkSpec {
     val df = Model.toDF(spark, db.take(1).toSeq)
     intercept[Exception] { Baselines.simplifyESpark(df, "magic", ErrorMeasures.SED, 0.2).collect() }
     intercept[IllegalArgumentException] { Baselines.simplifyESpark(df, "topdown", ErrorMeasures.SED, 0.0) }
+    // no action needed: both fail at the call, before planning
+    val e = intercept[IllegalArgumentException] { Baselines.simplifyESpark(df, "magic", ErrorMeasures.SED, 0.2) }
+    assert(e.getMessage.contains("magic"))
+    intercept[IllegalArgumentException] { Baselines.simplifyESpark(df, "spansearch", ErrorMeasures.SED, 0.2) }
   }
 
   test("simplified relation is a subset of the original (oracle-checked)") {

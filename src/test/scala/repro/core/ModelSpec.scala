@@ -53,22 +53,36 @@ class ModelSpec extends SparkSpec {
   }
 
   test("collectTrajs is the inverse of toDF") {
-    val back = Model.collectTrajs(Model.toDF(spark, db.toSeq))
+    val back = ModelTestOps.collectTrajs(Model.toDF(spark, db.toSeq))
     assert(back.length === 2)
     assert(back(0).points.toSeq === t1.points.toSeq)
     assert(back(1).points.toSeq === t2.points.toSeq)
   }
 
-  test("toTrajDS groups and orders points per trajectory") {
-    val ds = Model.toTrajDS(Model.toDF(spark, db.toSeq)).collect().sortBy(_.id)
-    assert(ds(0).points.toSeq === t1.points.toSeq)
-    assert(ds(1).points.toSeq === t2.points.toSeq)
+  test("simplifyGroups groups trajectories in id, idx order and keeps the source rows") {
+    import spark.implicits._
+    // idx gapped and not from 0, rows out of order; trajectory 1 in its own group
+    val rows = Seq(PointRow(0, 9, 2, 0, 20), PointRow(1, 4, 6, 6, 15), PointRow(0, 3, 0, 0, 0),
+      PointRow(2, 7, 8, 8, 1), PointRow(0, 20, 3, 0, 30), PointRow(1, 2, 5, 5, 5), PointRow(0, 5, 1, 0, 10))
+    val out = Model.simplifyGroups(rows.toDS().repartition(2).toDF(), id => id % 2) { (g, trs) =>
+      require(trs.map(_.id).toSeq == (if (g == 0) Seq(0L, 2L) else Seq(1L)), s"group $g")
+      require(trs.forall(tr => tr.points.map(_.t).toSeq == tr.points.map(_.t).sorted.toSeq))
+      // keep the first and third point of trajectory 0, the last of the others
+      SimpleDB(trs.map(tr => tr.id -> (if (tr.id == 0) Array(0, 2) else Array(tr.length - 1))).toMap)
+    }
+    assert(out.columns.toSeq === Seq("traj_id", "idx", "x", "y", "t"))
+    assert(out.as[PointRow].collect().toSet ===
+      Set(PointRow(0, 3, 0, 0, 0), PointRow(0, 9, 2, 0, 20), PointRow(1, 4, 6, 6, 15), PointRow(2, 7, 8, 8, 1)))
+  }
+
+  test("rows numbers a trajectory's points from 0") {
+    assert(Model.rows(t2).toSeq === Seq(PointRow(1, 0, 5, 5, 5), PointRow(1, 1, 6, 6, 15)))
   }
 
   test("simplifyDF keeps exactly the kept indices") {
     val df = Model.toDF(spark, db.toSeq)
     val s = SimpleDB(Map(0L -> Array(0, 3), 1L -> Array(0, 1)))
-    val out = Model.simplifyDF(df, s)
+    val out = ModelTestOps.simplifyDF(df, s)
     assert(out.count() === 4)
     val rows = out.collect().map(r => (r.getLong(0), r.getInt(1))).toSet
     assert(rows === Set((0L, 0), (0L, 3), (1L, 0), (1L, 1)))

@@ -1,7 +1,7 @@
 package repro.data
 
 import repro.SparkSpec
-import repro.core.Model
+import repro.core.{Model, ModelTestOps}
 
 /** Tests of the synthetic dataset generators standing in for the paper's
   * four real datasets (Table I substitution).
@@ -47,7 +47,7 @@ class TrajGenSpec extends SparkSpec {
 
   test("genDF agrees with genLocal point-for-point") {
     val local = TrajGen.genLocal(TrajGen.chengdu, 6, 11)
-    val viaSpark = Model.collectTrajs(TrajGen.genDF(spark, TrajGen.chengdu, 6, 11))
+    val viaSpark = ModelTestOps.collectTrajs(TrajGen.genDF(spark, TrajGen.chengdu, 6, 11))
     assert(viaSpark.length === local.length)
     for ((a, b) <- viaSpark.zip(local)) assert(a.points.toSeq === b.points.toSeq, s"traj ${a.id}")
   }

@@ -138,7 +138,7 @@ class EdrSpec extends SparkSpec with PropSupport {
       seed <- Gen.chooseNum(0L, Long.MaxValue)
     } yield (n, m, eps, maxLen, seed)
     var multiWord, partial, special, negOrNaNEps, infEps = 0
-    forAllN(cases, 400) { case (n, m, eps, maxLen, seed) =>
+    forAllN(cases, 500) { case (n, m, eps, maxLen, seed) =>
       val rng = new java.util.Random(seed)
       val a = seq(n, rng); val b = seq(m, rng)
       val got = Edr.edr(a, b, eps, maxLen)

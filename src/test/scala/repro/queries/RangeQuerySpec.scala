@@ -2,7 +2,7 @@ package repro.queries
 
 import repro.SparkSpec
 import repro.core.ModelTestOps.firstLast
-import repro.core.{Box, Model, Point, Traj}
+import repro.core.{Box, Model, ModelTestOps, Point, Traj}
 import repro.data.TrajGen
 
 /** Range query: in-memory vs Spark SQL vs the DuckDB oracle. */
@@ -71,7 +71,7 @@ class RangeQuerySpec extends SparkSpec {
     val gdb = TrajGen.genLocal(TrajGen.chengdu, 10, 13)
     val df = Model.toDF(spark, gdb.toSeq)
     val s = firstLast(gdb)
-    val sdf = Model.simplifyDF(df, s)
+    val sdf = ModelTestOps.simplifyDF(df, s)
     val qs = Workload.dataDist(gdb, 8, 2000, 86400, seed = 17)
     for (q <- qs) {
       val orig = RangeQuery.inMemory(gdb, q)

@@ -56,10 +56,9 @@ object Baselines {
     SimpleDB(db.zip(eBudgets(db, totalBudget)).map { case (tr, b) => tr.id -> one(tr, b) }.toMap)
 
   /** Train one RLTS+ policy per error measure on `trainTrajs`. */
-  def trainRlts(trainTrajs: Array[Traj], budgetFrac: Double, episodes: Int = 2,
-                k: Int = 3, seed: Long = 17): Map[Measure, RltsPlus] =
+  def trainRlts(trainTrajs: Array[Traj], budgetFrac: Double, episodes: Int = 2): Map[Measure, RltsPlus] =
     ErrorMeasures.all.map { m =>
-      val r = new RltsPlus(m, k, seed + m.name.hashCode)
+      val r = new RltsPlus(m, 17L + m.name.hashCode)
       r.train(trainTrajs, budgetFrac, episodes)
       m -> r
     }.toMap
@@ -72,6 +71,12 @@ object Baselines {
     * trajectory keeps at least its endpoints, so the total can exceed r · N by
     * them. `method` is "topdown" | "bottomup" | "spansearch" (DAD only); an
     * unknown method or measure fails here, before planning.
+    *
+    * "bottomup" is not the catalog's Bottom-Up(E,·) on the same relation.
+    * The catalog drops the points of all trajectories from one shared heap,
+    * so a trajectory's result can depend on the other trajectories: under
+    * PED and DAD it differs on the bench database, likely where equal costs
+    * break by heap order.
     */
   def simplifyESpark(points: DataFrame, method: String, m: Measure, r: Double): DataFrame = {
     require(r > 0 && r <= 1, s"compression ratio $r out of (0,1]")

@@ -35,21 +35,29 @@ object BottomUp {
     def droppable(i: Int): Boolean = alive(i) && i > 0 && i < n - 1
   }
 
-  /** Core bottom-up loop.
+  /** Core bottom-up loop: drop the cheapest droppable point of any
+    * trajectory still above its floor, until the database holds at most
+    * `target` points or nothing is droppable.
     *
-    * @param m        error measure
-    * @param db       trajectories
-    * @param perTraj  per-trajectory budgets (E adaptation) or None (W: use `totalBudget`)
-    * @param totalBudget global budget (ignored in E mode)
-    * @param k        number of cheapest candidates offered to the chooser
-    * @param choose   picks the index (0-based, into the cost-sorted candidate
-    *                 array) of the drop to perform; `_ => 0` is classic Bottom-Up
+    * A drop needs more than `floors(i)` points in trajectory i, so no
+    * trajectory falls below min(n_i, floors(i)) points. With floors 2 and
+    * target W this is the W adaptation. With E budgets b_i, floors
+    * max(2, b_i) and target Σ min(n_i, floors(i)) (`runE`), "at most target"
+    * means every trajectory is at its budget.
+    *
+    * @param m      error measure
+    * @param db     trajectories
+    * @param floors trajectory i loses no point once down to floors(i) points
+    * @param target total point count at which dropping stops
+    * @param k      number of cheapest candidates offered to the chooser
+    * @param choose picks the index (0-based, into the cost-sorted candidate
+    *               array) of the drop to perform; `_ => 0` is classic Bottom-Up
     */
   def run(
       m: Measure,
       db: Array[Traj],
-      perTraj: Option[Array[Int]],
-      totalBudget: Int,
+      floors: Array[Int],
+      target: Long,
       k: Int = 1,
       choose: Array[Cand] => Int = _ => 0): SimpleDB = {
 
@@ -66,46 +74,25 @@ object BottomUp {
       if (st.droppable(i)) heap.enqueue(HeapEntry(cost(ti, i), ti, i, st.stamp(i)))
     }
 
+    def aboveFloor(ti: Int): Boolean = states(ti).count > floors(ti)
+
     // seed
-    val eligible: Int => Boolean = perTraj match {
-      case Some(budgets) => ti => states(ti).count > math.max(2, budgets(ti))
-      case None          => ti => states(ti).count > 2
-    }
-    for (ti <- db.indices if eligible(ti); i <- 1 until db(ti).length - 1) push(ti, i)
+    for (ti <- db.indices if aboveFloor(ti); i <- 1 until db(ti).length - 1) push(ti, i)
 
     var total = states.map(_.count.toLong).sum
 
-    def goalMet: Boolean = perTraj match {
-      case Some(budgets) => db.indices.forall(ti => states(ti).count <= math.max(2, budgets(ti)))
-      case None          => total <= totalBudget
-    }
-
-    def popValid(): Option[HeapEntry] = {
-      while (heap.nonEmpty) {
+    while (total > target) {
+      // gather up to k valid cheapest candidates, discarding stale entries
+      // and those of trajectories at their floor
+      val popped = mutable.ArrayBuffer.empty[HeapEntry]
+      while (popped.length < k && heap.nonEmpty) {
         val e = heap.dequeue()
         val st = states(e.trajIdx)
-        val stillEligible = perTraj match {
-          case Some(budgets) => st.count > math.max(2, budgets(e.trajIdx))
-          case None          => true
-        }
-        if (st.droppable(e.ptIdx) && st.stamp(e.ptIdx) == e.stamp && stillEligible)
-          return Some(e)
+        if (st.droppable(e.ptIdx) && st.stamp(e.ptIdx) == e.stamp && aboveFloor(e.trajIdx))
+          popped += e
       }
-      None
-    }
-
-    while (!goalMet) {
-      // gather up to k valid cheapest candidates
-      val popped = mutable.ArrayBuffer.empty[HeapEntry]
-      var done = false
-      while (!done && popped.length < k) popValid() match {
-        case Some(e) => popped += e
-        case None    => done = true
-      }
-      if (popped.isEmpty) {
-        // nothing droppable left (all trajectories at 2 points)
-        return result(db, states)
-      }
+      // nothing droppable left: every trajectory is at its floor
+      if (popped.isEmpty) return result(db, states)
       val cands = popped.map(e => Cand(e.cost, e.trajIdx, e.ptIdx)).toArray
       val chosen = math.max(0, math.min(cands.length - 1, choose(cands)))
       // re-push the not-chosen candidates
@@ -133,17 +120,25 @@ object BottomUp {
       db(ti).id -> (0 until st.n).filter(st.alive).toArray
     }.toMap)
 
-  /** Simplify one trajectory to `budget` points (used by tests and RLTS+ training). */
-  def simplifyOne(m: Measure, tr: Traj, budget: Int): Array[Int] = {
-    val s = run(m, Array(tr), Some(Array(budget)), 0)
-    s.kept(tr.id)
+  /** `run` in E mode: trajectory i keeps max(2, budgets(i)) points, or all
+    * of them if it has fewer.
+    */
+  def runE(m: Measure, db: Array[Traj], budgets: Array[Int], k: Int,
+           choose: Array[Cand] => Int): SimpleDB = {
+    val floors = budgets.map(math.max(2, _))
+    val target = db.indices.map(ti => math.min(db(ti).length, floors(ti)).toLong).sum
+    run(m, db, floors, target, k, choose)
   }
+
+  /** Simplify one trajectory to `budget` points (`Baselines.simplifyESpark`'s body). */
+  def simplifyOne(m: Measure, tr: Traj, budget: Int): Array[Int] =
+    runE(m, Array(tr), Array(budget), 1, _ => 0).kept(tr.id)
 
   /** E adaptation: per-trajectory budgets proportional to length. */
   def simplifyE(m: Measure, db: Array[Traj], totalBudget: Int): SimpleDB =
-    run(m, db, Some(Baselines.eBudgets(db, totalBudget)), 0)
+    runE(m, db, Baselines.eBudgets(db, totalBudget), 1, _ => 0)
 
   /** W adaptation: drop the globally cheapest point until the total budget. */
   def simplifyW(m: Measure, db: Array[Traj], totalBudget: Int): SimpleDB =
-    run(m, db, None, totalBudget)
+    run(m, db, Array.fill(db.length)(2), totalBudget)
 }

@@ -13,7 +13,9 @@ import repro.traj.ErrorMeasures.Measure
   * One policy per error measure; the trained policy is shared between the E
   * (per-trajectory) and W (whole-database) adaptations.
   */
-final class RltsPlus(val measure: Measure, val k: Int = 3, seed: Long = 17) {
+final class RltsPlus(val measure: Measure, seed: Long = 17) {
+
+  private val k = 3
 
   val dqn = new DQN(stateDim = k, nActions = k, hidden = 25, lr = 0.005, seed = seed)
 
@@ -38,9 +40,8 @@ final class RltsPlus(val measure: Measure, val k: Int = 3, seed: Long = 17) {
       var pending: Option[(Array[Double], Int, Double, Array[Boolean])] = None
       // typical cost scale of this trajectory for reward normalisation
       val scale = math.max(1e-9, trajScale(tr))
-      BottomUp.run(
-        measure, Array(tr),
-        Some(Array(Baselines.eBudget(budgetFrac, tr))), 0, k,
+      BottomUp.runE(
+        measure, Array(tr), Array(Baselines.eBudget(budgetFrac, tr)), k,
         choose = cands => {
           val (s, mask) = state(cands)
           // close the previous pending transition with the now-known next state
@@ -74,16 +75,14 @@ final class RltsPlus(val measure: Measure, val k: Int = 3, seed: Long = 17) {
     dqn.selectAction(s, mask, explore = false)
   }
 
-  def simplifyOne(tr: Traj, budget: Int): Array[Int] = {
-    val s = BottomUp.run(measure, Array(tr), Some(Array(budget)), 0, k, greedyChoose)
-    s.kept(tr.id)
-  }
+  def simplifyOne(tr: Traj, budget: Int): Array[Int] =
+    BottomUp.runE(measure, Array(tr), Array(budget), k, greedyChoose).kept(tr.id)
 
   /** E adaptation: per-trajectory budgets, learned drop policy. */
   def simplifyE(db: Array[Traj], totalBudget: Int): SimpleDB =
-    BottomUp.run(measure, db, Some(Baselines.eBudgets(db, totalBudget)), 0, k, greedyChoose)
+    BottomUp.runE(measure, db, Baselines.eBudgets(db, totalBudget), k, greedyChoose)
 
   /** W adaptation: global candidate pool, learned drop policy. */
   def simplifyW(db: Array[Traj], totalBudget: Int): SimpleDB =
-    BottomUp.run(measure, db, None, totalBudget, k, greedyChoose)
+    BottomUp.run(measure, db, Array.fill(db.length)(2), totalBudget, k, greedyChoose)
 }

@@ -25,13 +25,11 @@ object SpanSearch {
 
   /** Greedy direction-span pass at tolerance `tol`; returns kept indices.
     * `dirs` are `tr`'s segment directions (`directions(tr)`). The per-advance
-    * direction recheck is strided once the window exceeds `exactWindow`
-    * segments (an O(n·w) -> O(n·exactWindow) bound; long windows only occur
-    * on near-straight stretches where the strided check is a tight
-    * approximation).
+    * direction recheck is strided once the window exceeds 256 segments (an
+    * O(n·w) -> O(n·256) bound; long windows only occur on near-straight
+    * stretches where the strided check is a tight approximation).
     */
-  private[baselines] def greedy(tr: Traj, tol: Double, dirs: Array[Double],
-                                exactWindow: Int = 256): Array[Int] = {
+  private[baselines] def greedy(tr: Traj, tol: Double, dirs: Array[Double]): Array[Int] = {
     val n = tr.length
     if (n <= 2) return Array.tabulate(n)(identity)
     val kept = ArrayBuffer(0)
@@ -46,7 +44,7 @@ object SpanSearch {
         angle(tr.points(s), tr.points(i)) match {
           case Some(anchorDir) =>
             val w = i - s
-            val stride = math.max(1, w / exactWindow)
+            val stride = math.max(1, w / 256)
             var j = s
             var valid = true
             while (valid && j < i) {

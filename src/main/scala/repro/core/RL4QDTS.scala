@@ -102,8 +102,7 @@ object RL4QDTS {
     */
   def simplifySpark(points: DataFrame, budgetFrac: Double, cubeW: NetWeights,
                     pointW: NetWeights, params: QdtsParams, nGroups: Int,
-                    nQueries: Int, querySizeXY: Double, seed: Long = 0,
-                    variant: Variant = Variant()): DataFrame = {
+                    nQueries: Int, querySizeXY: Double, seed: Long = 0): DataFrame = {
     require(budgetFrac > 0 && budgetFrac <= 1, s"budget fraction $budgetFrac out of (0,1]")
     require(nGroups > 0, s"nGroups must be positive, got $nGroups")
     Model.simplifyGroups(points, id => math.floorMod(id, nGroups.toLong)) { (g, db) =>
@@ -112,7 +111,7 @@ object RL4QDTS {
       val workload = Workload.dataDist(db, nQueries, querySizeXY,
         math.max(tmax - tmin, 1.0), seed + g)
       simplify(db, budget, workload, MLP.fromWeights(cubeW),
-        MLP.fromWeights(pointW), params, seed + 31L * g, variant)
+        MLP.fromWeights(pointW), params, seed + 31L * g)
     }
   }
 }

@@ -23,10 +23,8 @@ object Training {
       budgetFrac: Double = 0.02,
       nQueries: Int = 100,
       querySizeXY: Double = 2000.0,
-      queryTFrac: Double = 1.0,   // temporal query extent as fraction of the span
       workloadKind: String = "data",
       params: QdtsParams = QdtsParams(),
-      rewardScale: Double = 100.0, // F1 deltas per window are small; scale for gradient signal
       trainStepsPerWindow: Int = 8,
       seed: Long = 99)
 
@@ -56,13 +54,13 @@ object Training {
       point = new DQN(stateDim = 2 * params.k, nActions = params.k, seed = seed + 1))
 
   /** A database of `nTrajs` trajectories of `cfg`'s profile, its query
-    * workload, and the env over both.
+    * workload over the whole time span, and the env over both.
     */
   private def buildEnv(cfg: TrainConfig, nTrajs: Int, dbSeed: Long, wlSeed: Long): QdtsEnv = {
     val db = TrajGen.genLocal(cfg.profile, nTrajs, dbSeed)
     val (_, _, _, _, tmin, tmax) = Model.bounds(db)
     val workload = Workload.generate(cfg.workloadKind, db, cfg.nQueries,
-      cfg.querySizeXY, math.max((tmax - tmin) * cfg.queryTFrac, 1.0), wlSeed)
+      cfg.querySizeXY, math.max(tmax - tmin, 1.0), wlSeed)
     new QdtsEnv(db, workload, cfg.params)
   }
 
@@ -188,8 +186,9 @@ object Training {
           // this insertion's own F1 improvement; the window's rewards
           // telescope to the Eq. 10 window reward, so the accumulated
           // objective of Eq. 11 is unchanged, but each decision of both
-          // agents is credited with the gain it actually produced
-          val r = (before - env.diff) * cfg.rewardScale
+          // agents is credited with the gain it actually produced; the deltas
+          // are small, so they are scaled by 100 for gradient signal
+          val r = (before - env.diff) * 100.0
           agents.point.remember(
             Transition(pointS, pointA, r, new Array[Double](pointS.length), pointMask, done = true))
           if (cubeS != null) {

@@ -50,33 +50,32 @@ object Experiments {
   }
 
   /** Test-split database (seed disjoint from every training seed). */
-  def benchDb(nTrajs: Int = envInt("BENCH_TRAJS", 100), seed: Long = 123456L,
-              profile: TrajGen.Profile = benchProfile): Array[Traj] =
-    TrajGen.genLocal(profile, nTrajs, seed)
+  def benchDb(nTrajs: Int = envInt("BENCH_TRAJS", 100)): Array[Traj] =
+    TrajGen.genLocal(benchProfile, nTrajs, 123456L)
 
-  /** Train RL4QDTS agents with the bench configuration (few small databases,
-    * scaled-down analogue of the paper's 12 x 500-trajectory training setup).
+  /** The RL4QDTS training configuration of every experiment: few small
+    * databases, a scaled-down analogue of the paper's 12 x 500-trajectory
+    * training setup.
     */
-  def trainAgents(profile: TrajGen.Profile = benchProfile,
-                  workloadKind: String = "data",
-                  budgetFrac: Double = 0.01,
-                  seed: Long = 99): Training.TrainedAgents =
-    Training.train(Training.TrainConfig(
-      profile = profile,
-      nDbs = envInt("BENCH_TRAIN_DBS", 12),
-      trajsPerDb = envInt("BENCH_TRAIN_TRAJS", 50),
-      episodesPerDb = envInt("BENCH_TRAIN_EPISODES", 10),
-      budgetFrac = budgetFrac,
-      nQueries = 100,
-      querySizeXY = 2000.0,
-      workloadKind = workloadKind,
-      params = benchParams,
-      trainStepsPerWindow = 16,
-      seed = seed))
+  val trainConfig: Training.TrainConfig = Training.TrainConfig(
+    profile = benchProfile,
+    nDbs = envInt("BENCH_TRAIN_DBS", 12),
+    trajsPerDb = envInt("BENCH_TRAIN_TRAJS", 50),
+    episodesPerDb = envInt("BENCH_TRAIN_EPISODES", 10),
+    budgetFrac = 0.01,
+    nQueries = 100,
+    querySizeXY = 2000.0,
+    workloadKind = "data",
+    params = benchParams,
+    trainStepsPerWindow = 16,
+    seed = 99)
+
+  /** Train RL4QDTS agents with `trainConfig`. */
+  def trainAgents(): Training.TrainedAgents = Training.train(trainConfig)
 
   /** Train the RLTS+ baselines (one policy per measure) on a training split. */
-  def trainRltsBaselines(profile: TrajGen.Profile = benchProfile, seed: Long = 555): Map[Measure, RltsPlus] = {
-    val trainDb = TrajGen.genLocal(profile, envInt("BENCH_RLTS_TRAJS", 12), seed)
+  def trainRltsBaselines(): Map[Measure, RltsPlus] = {
+    val trainDb = TrajGen.genLocal(benchProfile, envInt("BENCH_RLTS_TRAJS", 12), 555)
     Baselines.trainRlts(trainDb, budgetFrac = 0.05, episodes = 1)
   }
 
@@ -94,7 +93,7 @@ object Experiments {
     */
   final class Evaluator(val db: Array[Traj], workloadKind: String, seed: Long = 2024,
                         nRange: Int = 100, nKnn: Int = 8, nSim: Int = 10,
-                        knnK: Int = 3, clusterTrajs: Int = 150) {
+                        clusterTrajs: Int = 150) {
 
     private val (xmin, xmax, ymin, ymax, tmin, tmax) = Model.bounds(db)
     private val span = math.max(tmax - tmin, 1.0)
@@ -128,13 +127,11 @@ object Experiments {
     private val rng = new java.util.Random(seed + 1)
     private val knnIdx: Array[Int] = Array.fill(nKnn)(rng.nextInt(db.length))
     private val knnWin: Array[(Double, Double)] = knnIdx.map(i => ownWindow(db(i)))
-    private val edrEps = 2000.0
-    private val knnGtEdr: Array[Seq[Long]] = knnIdx.zip(knnWin).map { case (i, (ts, te)) =>
-      KnnQuery.knn(db, db(i), ts, te, knnK, KnnQuery.EDR, edrEps)
-    }
-    private val knnGtEmb: Array[Seq[Long]] = knnIdx.zip(knnWin).map { case (i, (ts, te)) =>
-      KnnQuery.knn(db, db(i), ts, te, knnK, KnnQuery.Embed)
-    }
+    /** Every kNN query's 3 nearest trajectories of `on` under `sim`. */
+    private def knnResults(on: Array[Traj], sim: KnnQuery.Similarity): Array[Seq[Long]] =
+      knnIdx.zip(knnWin).map { case (i, (ts, te)) => KnnQuery.knn(on, db(i), ts, te, 3, sim) }
+    private val knnGtEdr: Array[Seq[Long]] = knnResults(db, KnnQuery.EDR)
+    private val knnGtEmb: Array[Seq[Long]] = knnResults(db, KnnQuery.Embed)
 
     // --- similarity queries (paper: 5km threshold) ---
     private val simIdx: Array[Int] = Array.fill(nSim)(rng.nextInt(db.length))
@@ -155,20 +152,22 @@ object Experiments {
       s"rangeGT(nonempty)=${rangeGt.count(_.nonEmpty)}/$nRange " +
         s"simGT(nonempty)=${simGt.count(_.nonEmpty)}/$nSim clusterPairsGT=${cluGt.size}"
 
+    /** Mean range-query F1 of the materialised database `simp`. */
+    private def rangeScore(simp: Array[Traj]): Double =
+      Quality.mean(rangeQs.indices.map(i =>
+        Quality.f1(rangeGt(i), RangeQuery.inMemory(simp, rangeQs(i)))))
+
+    /** Mean kNN F1 of `simp` under `sim` against the ground truth `gt`. */
+    private def knnScore(simp: Array[Traj], sim: KnnQuery.Similarity, gt: Array[Seq[Long]]): Double = {
+      val res = knnResults(simp, sim)
+      Quality.mean(gt.indices.map(j => Quality.knnF1(gt(j), res(j))))
+    }
+
     def evaluate(s: SimpleDB): TaskF1 = {
       val simp = s.materialise(db)
-      val range = Quality.mean(rangeQs.indices.map(i =>
-        Quality.f1(rangeGt(i), RangeQuery.inMemory(simp, rangeQs(i)))))
-      val kEdr = Quality.mean(knnIdx.indices.map { j =>
-        val (ts, te) = knnWin(j)
-        Quality.knnF1(knnGtEdr(j),
-          KnnQuery.knn(simp, db(knnIdx(j)), ts, te, knnK, KnnQuery.EDR, edrEps))
-      })
-      val kEmb = Quality.mean(knnIdx.indices.map { j =>
-        val (ts, te) = knnWin(j)
-        Quality.knnF1(knnGtEmb(j),
-          KnnQuery.knn(simp, db(knnIdx(j)), ts, te, knnK, KnnQuery.Embed))
-      })
+      val range = rangeScore(simp)
+      val kEdr = knnScore(simp, KnnQuery.EDR, knnGtEdr)
+      val kEmb = knnScore(simp, KnnQuery.Embed, knnGtEmb)
       val sim = Quality.mean(simIdx.indices.map { j =>
         val (ts, te) = simWin(j)
         Quality.f1(simGt(j), SimilarityQuery.similar(simp, db(simIdx(j)), ts, te, simDelta))
@@ -179,11 +178,7 @@ object Experiments {
     }
 
     /** Range-query-only evaluation (fast path for sweeps/ablations). */
-    def rangeF1(s: SimpleDB): Double = {
-      val simp = s.materialise(db)
-      Quality.mean(rangeQs.indices.map(i =>
-        Quality.f1(rangeGt(i), RangeQuery.inMemory(simp, rangeQs(i)))))
-    }
+    def rangeF1(s: SimpleDB): Double = rangeScore(s.materialise(db))
   }
 
   /** Run RL4QDTS with trained nets; convenience for benches. */

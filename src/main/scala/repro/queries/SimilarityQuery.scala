@@ -7,17 +7,16 @@ import repro.core.Traj
   * (the paper's 5 km) at every instant of the window [ts, te].
   *
   * Simplified trajectories have sparse samples, so both sides are linearly
-  * interpolated at a common grid of `nSamples` instants across the window
+  * interpolated at a common grid of 32 instants across the window
   * (restricted to instants where the query itself is defined). A trajectory
   * undefined at any such instant does not qualify.
   */
 object SimilarityQuery {
 
-  def similar(db: Array[Traj], q: Traj, ts: Double, te: Double, delta: Double,
-              nSamples: Int = 32): Set[Long] = {
+  def similar(db: Array[Traj], q: Traj, ts: Double, te: Double, delta: Double): Set[Long] = {
     require(te >= ts)
-    val times = (0 until nSamples)
-      .map(i => if (nSamples == 1) ts else ts + i * (te - ts) / (nSamples - 1))
+    val times = (0 until 32)
+      .map(i => ts + i * (te - ts) / 31)
       .filter(t => q.at(t).isDefined)
     if (times.isEmpty) return Set.empty
     val qPts = times.map(t => (t, q.at(t).get))

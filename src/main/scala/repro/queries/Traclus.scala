@@ -45,13 +45,13 @@ object Traclus {
   }
 
   /** Partition phase: characteristic segments of every trajectory. Segments
-    * shorter than `minLen` carry no direction information and are dropped.
+    * shorter than 1 m carry no direction information and are dropped.
     */
-  def partition(db: Array[Traj], tol: Double, minLen: Double = 1.0): Array[Seg] =
+  def partition(db: Array[Traj], tol: Double): Array[Seg] =
     db.flatMap { tr =>
       val cp = characteristicPoints(tr, tol)
       cp.iterator.zip(cp.iterator.drop(1)).map { case (i, j) => Seg(tr.id, tr.points(i), tr.points(j)) }
-        .filter(_.len >= minLen)
+        .filter(_.len >= 1.0)
         .toArray
     }
 

@@ -1,6 +1,7 @@
 package repro.baselines
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropSupport, SparkSpec}
 import repro.core.{Model, ModelTestOps, Point, Traj}
 import repro.data.TrajGen
 import repro.traj.ErrorMeasures
@@ -8,7 +9,7 @@ import repro.traj.ErrorMeasures
 /** Tests of the baseline catalog (the paper's 25 adaptations) and the
   * Spark-parallel E adaptation.
   */
-class BaselinesSpec extends SparkSpec {
+class BaselinesSpec extends SparkSpec with PropSupport {
 
   private lazy val db = TrajGen.genLocal(TrajGen.chengdu, 8, 31)
 
@@ -59,6 +60,50 @@ class BaselinesSpec extends SparkSpec {
       s.materialise(mixed)
       for (tr <- tiny)
         assert(s.kept(tr.id).toSeq === Model.endpoints(tr.length).toSeq, s"${m.name} W=$w traj ${tr.id}")
+    }
+  }
+
+  /** A trajectory of up to five pieces after its first point: a run of one
+    * repeated (x, y) or a collinear stretch of equal integer steps, one
+    * second apart. Every step moves right or not at all, so equal points are
+    * always consecutive.
+    */
+  private val genTieTraj: Gen[Array[Point]] = for {
+    nPieces <- Gen.choose(0, 5)
+    pieces <- Gen.listOfN(nPieces, Gen.oneOf(
+      Gen.choose(1, 6).map(k => (0, 0, k)),
+      for { dx <- Gen.choose(1, 3); dy <- Gen.choose(-2, 2); k <- Gen.choose(1, 8) } yield (dx, dy, k)))
+  } yield {
+    val steps = pieces.flatMap { case (dx, dy, k) => Seq.fill(k)((dx, dy)) }
+    steps.scanLeft((0, 0)) { case ((x, y), (dx, dy)) => (x + dx, y + dy) }
+      .zipWithIndex.map { case ((x, y), i) => Point(x, y, i) }.toArray
+  }
+
+  test("property: every catalog method stays valid and repeatable on repeated and collinear points") {
+    val catalog = Baselines.all(Baselines.trainRlts(db.take(2), 0.4, episodes = 1))
+    val genDb = Gen.choose(1, 4).flatMap(Gen.listOfN(_, genTieTraj))
+      .map(_.zipWithIndex.map { case (pts, i) => Traj(i, pts) }.toArray)
+    forAllN(genDb, 40) { tdb =>
+      val n = Model.totalPoints(tdb).toInt
+      val e = tdb.map(tr => math.min(tr.length, 2)).sum
+      for (m <- catalog; w <- Seq(0, 2 * tdb.length, n / 7, n)) {
+        val s = m.simplify(tdb, w)
+        val ctx = s"${m.name} W=$w on " +
+          tdb.map(_.points.map(p => s"${p.x},${p.y}").mkString(" ")).mkString(" | ")
+        val r = w.toDouble / n
+        for (tr <- tdb) {
+          val kept = s.kept(tr.id)
+          assert(Model.endpoints(tr.length).forall(kept.contains), ctx)
+          assert(kept.toSeq === kept.distinct.sorted.toSeq, ctx)
+          assert(kept.forall(i => i >= 0 && i < tr.length), ctx)
+          if (m.name.contains("(E,"))
+            assert(kept.length >= math.min(tr.length, 2) &&
+              kept.length <= math.max(2, (r * tr.length).toInt), ctx)
+        }
+        if (m.name.contains("(W,")) assert(s.totalPoints === math.min(math.max(w, e), n), ctx)
+        val again = m.simplify(tdb, w)
+        assert(tdb.forall(tr => again.kept(tr.id).toSeq === s.kept(tr.id).toSeq), ctx)
+      }
     }
   }
 

@@ -27,7 +27,7 @@ class KnnQuerySpec extends SparkSpec {
 
   test("EDR kNN matches lanes within eps first") {
     // lanes 0..2 are within 2km in y of the query; the others are not
-    val res = KnnQuery.knn(db, q, 0, 100, 3, KnnQuery.EDR, edrEps = 2000)
+    val res = KnnQuery.knn(db, q, 0, 100, 3, KnnQuery.EDR)
     assert(res.toSet === Set(0L, 1L, 2L))
   }
 

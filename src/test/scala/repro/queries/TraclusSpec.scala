@@ -38,7 +38,7 @@ class TraclusSpec extends SparkSpec with PropSupport {
 
   test("partition drops zero-length segments") {
     val tr = Traj(0, Array(Point(0, 0, 0), Point(0, 0, 1)))
-    assert(Traclus.partition(Array(tr), 0.1, minLen = 1.0).isEmpty)
+    assert(Traclus.partition(Array(tr), 0.1).isEmpty)
   }
 
   test("segment distance of identical segments is 0") {

@@ -27,14 +27,27 @@ final case class QdtsParams(
   * `pos(ti)(pi)` maps a point back to its flat index. An insertion into
   * trajectory `ti` changes the anchor segment only of `ti`'s points between
   * the new point's two neighbouring anchors, so it refreshes just those: one
-  * insertion costs O(#queries + octree depth + anchor segment). Gathering a
-  * cube's candidates is one sequential pass over the cube's `[lo, hi)` of
-  * these arrays plus a top-K insertion over the trajectories seen. The range
+  * insertion costs O(#queries + octree depth + anchor segment). The range
   * ground truth comes from the octree (`Octree.trajsIn`).
+  *
+  * Candidate cache: Agent-Cube almost always stops at its start cube, so
+  * each start cube (`startFrontier`) keeps its best candidate per
+  * trajectory. At construction every start cube's points are laid out once
+  * per trajectory, one slot per (start cube, trajectory), each slot's flat
+  * indices ascending. A slot caches the flat index of its best un-inserted
+  * point, and a flag says whether that is still valid. `insertPoint` and
+  * `refresh` clear the flag of the slot of every point they touch, and
+  * `reset()` clears every flag. A gather at a start cube rescans only its
+  * stale slots, with the keep test of the full scan in the same (flat)
+  * order, so it picks the same point per trajectory; its cost is the
+  * cube's trajectory count plus the points of its stale slots. A gather
+  * below the start cube is one sequential pass over the cube's `[lo, hi)`
+  * of the flat arrays. Either feeds the same top-K insertion.
   *
   * Training builds one env per database and calls `reset()` at the start
   * of every episode; inference (`RL4QDTS.simplify`) resets it before each
-  * run.
+  * run. `reset()` copies back the endpoints-only state taken at
+  * construction.
   */
 final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: QdtsParams) {
 
@@ -42,7 +55,7 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
   workload.foreach(octree.addQuery)
 
   // the octree's shape is fixed after the build, so the start-level frontier is too
-  private val startFrontier: IndexedSeq[OctNode] = octree.frontierAtLevel(params.startLevel)
+  private val startFrontier: Array[OctNode] = octree.frontierAtLevel(params.startLevel).toArray
 
   // ---- per-point state, indexed by position in `octree.flat` ----
   private val trajF: Array[Int] = new Array[Int](octree.flat.length)
@@ -51,7 +64,8 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
 
   /** Fill `trajF` and `pos` from `octree.flat`. A method rather than
     * constructor code so that the JIT compiles the loop: in the constructor
-    * body it took ~5x as long on the bench database.
+    * body it took ~5x as long on the bench database. Every construction
+    * loop below follows the same rule, one loop per method.
     */
   private def fillLayout(): Unit = {
     val flat = octree.flat
@@ -77,6 +91,87 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
   private val top: Array[Int] = new Array[Int](params.k)
   private var nInserted: Int = 0
 
+  // ---- candidate cache of the start cubes (see the class doc) ----
+  // slot of every flat index; start cube `c` owns slots
+  // [cubeSlots(c), cubeSlots(c + 1)), and slot `s` lies in cube `slotCube(s)`
+  private val slotOf: Array[Int] = new Array[Int](trajF.length)
+  private val cubeSlots: Array[Int] = new Array[Int](startFrontier.length + 1)
+  private val nSlots: Int = assignSlots()
+  private val slotCube: Array[Int] = new Array[Int](nSlots)
+  // slot `s`'s flat indices are slotPts[slotLo(s), slotLo(s + 1)), ascending
+  private val slotLo: Array[Int] = new Array[Int](nSlots + 1)
+  private val slotPts: Array[Int] = new Array[Int](trajF.length)
+  layoutSlots()
+  // cached best flat index of each slot (-1 = all inserted), valid iff fresh
+  private val slotBest: Array[Int] = new Array[Int](nSlots)
+  private val slotFresh: Array[Boolean] = new Array[Boolean](nSlots)
+
+  /** Number the slots cube by cube, in the order each cube's trajectories
+    * first appear in it, into `slotOf` and `cubeSlots`; returns the count.
+    */
+  private def assignSlots(): Int = {
+    val stamp = Array.fill(db.length)(-1) // last cube that gave the trajectory a slot
+    val slotOfTraj = new Array[Int](db.length)
+    var next = 0
+    var c = 0
+    while (c < startFrontier.length) {
+      cubeSlots(c) = next
+      next = assignCubeSlots(c, next, stamp, slotOfTraj)
+      c += 1
+    }
+    cubeSlots(c) = next
+    next
+  }
+
+  private def assignCubeSlots(c: Int, first: Int, stamp: Array[Int], slotOfTraj: Array[Int]): Int = {
+    var next = first
+    var f = startFrontier(c).lo
+    while (f < startFrontier(c).hi) {
+      val ti = trajF(f)
+      if (stamp(ti) != c) { stamp(ti) = c; slotOfTraj(ti) = next; next += 1 }
+      slotOf(f) = slotOfTraj(ti)
+      f += 1
+    }
+    next
+  }
+
+  /** Fill `slotCube`, `slotLo` and `slotPts` from `slotOf`. */
+  private def layoutSlots(): Unit = {
+    markSlotCubes()
+    countSlotPoints()
+    prefixSlotLo()
+    scatterSlotPoints()
+  }
+
+  private def markSlotCubes(): Unit = {
+    var c = 0
+    while (c < startFrontier.length) {
+      java.util.Arrays.fill(slotCube, cubeSlots(c), cubeSlots(c + 1), c)
+      c += 1
+    }
+  }
+
+  private def countSlotPoints(): Unit = {
+    var f = 0
+    while (f < slotOf.length) { slotLo(slotOf(f) + 1) += 1; f += 1 }
+  }
+
+  private def prefixSlotLo(): Unit = {
+    var s = 0
+    while (s < nSlots) { slotLo(s + 1) += slotLo(s); s += 1 }
+  }
+
+  private def scatterSlotPoints(): Unit = {
+    val next = java.util.Arrays.copyOf(slotLo, nSlots)
+    var f = 0
+    while (f < slotOf.length) {
+      val s = slotOf(f)
+      slotPts(next(s)) = f
+      next(s) += 1
+      f += 1
+    }
+  }
+
   // ---- incremental F1 over the range-query workload ----
   // ground truth on the original database
   private val gt: Array[Array[Boolean]] = workload.map(octree.trajsIn)
@@ -89,7 +184,20 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
   // endpoints of every trajectory, the size of the most simplified database
   private val nEndpoints: Int = db.map(tr => math.min(tr.length, 2)).sum
 
-  reset()
+  insertEndpoints()
+
+  // the endpoints-only state, which `reset()` copies back
+  private val inserted0: Array[Boolean] = inserted.clone()
+  private val vs0: Array[Double] = vs.clone()
+  private val vt0: Array[Double] = vt.clone()
+  private val inBox0: Array[Array[Boolean]] = inBox.map(_.clone())
+  private val rsSize0: Array[Int] = rsSize.clone()
+  private val matched0: Array[Int] = matched.clone()
+
+  private def insertEndpoints(): Unit = {
+    var ti = 0
+    while (ti < db.length) { Model.endpoints(db(ti).length).foreach(insertPoint(ti, _)); ti += 1 }
+  }
 
   /** Restore D' to the most simplified database: the endpoints of every
     * trajectory. The octree, its query counts and the ground truth depend
@@ -100,13 +208,32 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     // every other field is a function of the inserted set, and insertions
     // only add: endpoints-only already holds when that many are inserted
     if (nInserted == nEndpoints) return
-    java.util.Arrays.fill(inserted, false)
-    inBox.foreach(java.util.Arrays.fill(_, false))
-    java.util.Arrays.fill(rsSize, 0)
-    java.util.Arrays.fill(matched, 0)
-    nInserted = 0
+    System.arraycopy(inserted0, 0, inserted, 0, inserted.length)
+    System.arraycopy(vs0, 0, vs, 0, vs.length)
+    System.arraycopy(vt0, 0, vt, 0, vt.length)
+    restoreQueries()
+    nInserted = nEndpoints
     octree.resetRemaining()
-    for (ti <- db.indices; pi <- Model.endpoints(db(ti).length)) insertPoint(ti, pi)
+    markEndpoints()
+    java.util.Arrays.fill(slotFresh, false)
+  }
+
+  private def restoreQueries(): Unit = {
+    var qi = 0
+    while (qi < workload.length) {
+      System.arraycopy(inBox0(qi), 0, inBox(qi), 0, db.length)
+      qi += 1
+    }
+    System.arraycopy(rsSize0, 0, rsSize, 0, rsSize.length)
+    System.arraycopy(matched0, 0, matched, 0, matched.length)
+  }
+
+  private def markEndpoints(): Unit = {
+    var ti = 0
+    while (ti < db.length) {
+      Model.endpoints(db(ti).length).foreach(pi => octree.markInserted(db(ti).points(pi)))
+      ti += 1
+    }
   }
 
   /** Insert point `pi` of trajectory `ti` into D'. Returns false if it was
@@ -118,6 +245,7 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     val f = pos(ti)(pi)
     if (inserted(f)) return false
     inserted(f) = true
+    slotFresh(slotOf(f)) = false
     nInserted += 1
     val a = prevAnchor(ti, pi)
     val b = nextAnchor(ti, pi)
@@ -159,8 +287,10 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     val pa = pts(a); val pb = pts(b)
     var i = a + 1
     while (i < b) {
-      vs(ps(i)) = ErrorMeasures.sed(pa, pb, pts(i))
-      vt(ps(i)) = temporalValue(pa, pb, pts(i))
+      val f = ps(i)
+      vs(f) = ErrorMeasures.sed(pa, pb, pts(i))
+      vt(f) = temporalValue(pa, pb, pts(i))
+      slotFresh(slotOf(f)) = false
       i += 1
     }
   }
@@ -203,20 +333,41 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     * distribution, exactly as in the paper's Table II setup.
     */
   def sampleStartNode(rng: java.util.Random, byQuery: Boolean = true): OctNode = {
-    val frontier = startFrontier.filter(_.remaining > 0)
-    require(frontier.nonEmpty, "no un-inserted points left")
-    val totalPts = math.max(octree.root.nPoints, 1).toDouble
-    val weights =
-      if (byQuery)
-        // smoothed estimate of the query density: empirical per-cube query
-        // count plus the expected count under a data prior (the raw counts of
-        // a 100-query workload are too noisy to sample from directly)
-        frontier.map(n => n.q + (n.nPoints / totalPts) * workload.length)
-      else frontier.map(_.nPoints.toDouble)
-    var u = rng.nextDouble() * weights.sum
+    // two passes over the cubes with points left, without allocating: sum
+    // their weights left to right (the bits of `Seq.sum`), then walk them
+    var sum = 0.0
+    var last = -1
     var i = 0
-    while (i < frontier.length - 1 && u > weights(i)) { u -= weights(i); i += 1 }
-    frontier(i)
+    while (i < startFrontier.length) {
+      if (startFrontier(i).remaining > 0) { sum += startWeight(startFrontier(i), byQuery); last = i }
+      i += 1
+    }
+    require(last >= 0, "no un-inserted points left")
+    var u = rng.nextDouble() * sum
+    i = nextStart(0)
+    var w = startWeight(startFrontier(i), byQuery)
+    while (i < last && u > w) {
+      u -= w
+      i = nextStart(i + 1)
+      w = startWeight(startFrontier(i), byQuery)
+    }
+    startFrontier(i)
+  }
+
+  /** Sampling weight of start cube `n`. */
+  private def startWeight(n: OctNode, byQuery: Boolean): Double =
+    if (byQuery)
+      // smoothed estimate of the query density: empirical per-cube query
+      // count plus the expected count under a data prior (the raw counts of
+      // a 100-query workload are too noisy to sample from directly)
+      n.q + (n.nPoints / math.max(octree.root.nPoints, 1).toDouble) * workload.length
+    else n.nPoints.toDouble
+
+  /** The first start cube from `i` on that has points left. */
+  private def nextStart(from: Int): Int = {
+    var i = from
+    while (startFrontier(i).remaining == 0) i += 1
+    i
   }
 
   /** Agent-Cube state (Eq. 4): the 8 children's trajectory-count and
@@ -263,21 +414,11 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     * across trajectories the lower `trajIdx` comes first.
     */
   def candidates(node: OctNode): Array[Candidate] = {
-    var nTouched = 0
-    var i = node.lo
-    while (i < node.hi) {
-      if (!inserted(i)) {
-        val ti = trajF(i)
-        val b = best(ti)
-        // an earlier point stays unless it is not >= the new one: the
-        // reference scan's keep test, NaN included
-        if (b < 0) { best(ti) = i; touched(nTouched) = ti; nTouched += 1 }
-        else if (!(vs(b) >= vs(i))) best(ti) = i
-      }
-      i += 1
-    }
+    val cube = if (node.hi > node.lo) slotCube(slotOf(node.lo)) else -1
+    val nTouched = if (cube >= 0 && (startFrontier(cube) eq node)) gatherCube(cube) else gatherRange(node)
     // insert each trajectory into the sorted top-K slots; `ranksBefore` is a
-    // strict total order, so this is the first K of the full sort
+    // strict total order, so this is the first K of the full sort, whatever
+    // the order of `touched`
     val k = params.k
     var nTop = 0
     var j = 0
@@ -298,6 +439,55 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     j = 0
     while (j < nTouched) { best(touched(j)) = -1; j += 1 }
     out
+  }
+
+  /** Fill `best` and `touched` from one pass over `node`'s `[lo, hi)`;
+    * returns the number of trajectories touched.
+    */
+  private def gatherRange(node: OctNode): Int = {
+    var nTouched = 0
+    var i = node.lo
+    while (i < node.hi) {
+      if (!inserted(i)) {
+        val ti = trajF(i)
+        val b = best(ti)
+        // an earlier point stays unless it is not >= the new one: the
+        // reference scan's keep test, NaN included
+        if (b < 0) { best(ti) = i; touched(nTouched) = ti; nTouched += 1 }
+        else if (!(vs(b) >= vs(i))) best(ti) = i
+      }
+      i += 1
+    }
+    nTouched
+  }
+
+  /** Fill `best` and `touched` from start cube `c`'s slots, rescanning the
+    * stale ones; returns the number of trajectories touched.
+    */
+  private def gatherCube(c: Int): Int = {
+    var nTouched = 0
+    var s = cubeSlots(c)
+    while (s < cubeSlots(c + 1)) {
+      if (!slotFresh(s)) { slotBest(s) = scanSlot(s); slotFresh(s) = true }
+      val b = slotBest(s)
+      if (b >= 0) { best(trajF(b)) = b; touched(nTouched) = trajF(b); nTouched += 1 }
+      s += 1
+    }
+    nTouched
+  }
+
+  /** Best un-inserted point of slot `s` (-1 if none), by `gatherRange`'s
+    * keep test over the slot's flat indices in ascending order.
+    */
+  private def scanSlot(s: Int): Int = {
+    var b = -1
+    var j = slotLo(s)
+    while (j < slotLo(s + 1)) {
+      val f = slotPts(j)
+      if (!inserted(f) && (b < 0 || !(vs(b) >= vs(f)))) b = f
+      j += 1
+    }
+    b
   }
 
   /** Candidate order of trajectories `a` and `b` by their best points: (−v_s, trajIdx). */

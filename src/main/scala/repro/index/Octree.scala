@@ -4,13 +4,12 @@ import scala.collection.mutable.ArrayBuffer
 import repro.core.{Box, Model, Point, Traj}
 
 /** A node of the adaptive octree. `level` is 1-based as in the paper (the
-  * root cube is B_1^1). A node is a leaf until its point count exceeds
-  * `leafCap` and it is below `maxDepth`; internal nodes hold statistics only.
+  * root cube is B_1^1); which nodes split is `Octree`'s build rule. Internal
+  * nodes hold statistics only.
   *
   * Per-node statistics:
   *  - `m` — number of distinct trajectories with >=1 point in the cube (the
-  *    paper's M_B). Maintained with the last-seen-trajectory trick, valid
-  *    because points are inserted in (trajectory, index) order.
+  *    paper's M_B).
   *  - `q` — number of workload queries whose centre falls in the cube (Q_B).
   *  - `remaining` — points in the cube not yet inserted into the simplified
   *    database; used to mask exhausted subtrees during Agent-Cube traversal.
@@ -22,10 +21,7 @@ final class OctNode(val level: Int, val box: Box) {
   var remaining: Int = 0
   var lo: Int = 0
   var hi: Int = 0
-  private[index] var lastTraj: Long = -1L
   var children: Array[OctNode] = _ // null while leaf
-  // point codes of a leaf while the tree is built; moved into `Octree.flat`
-  private[index] var pts: ArrayBuffer[Long] = new ArrayBuffer[Long]()
 
   def isLeaf: Boolean = children == null
 
@@ -36,6 +32,21 @@ final class OctNode(val level: Int, val box: Box) {
 /** Octree over a trajectory database (Section IV, "spatio-temporal cubes").
   * Splits the database bounding cube 8-ways recursively: 2 spatial dimensions
   * and 1 temporal dimension, one bit each.
+  *
+  * The tree is the one that inserting the points one at a time in
+  * (trajectory, index) order builds, where a leaf that exceeds `leafCap`
+  * points below `maxDepth` splits and pushes its points into its new
+  * children without checking them for a split. It is built top-down
+  * instead, as a stable 8-way partition of primitive arrays (point codes and
+  * x, y, t in (trajectory, index) order), which reproduces that tree
+  * exactly. Let `k0` be the number of a node's points present when it was
+  * created (0 for the root). The node splits iff `level < maxDepth`, its
+  * point count exceeds `leafCap` and it exceeds `k0`; a child's `k0` is the
+  * number of the parent's first `max(leafCap + 1, k0 + 1)` points (the ones
+  * present at the split) that route to it. So a child that receives all
+  * `leafCap + 1` points of a split stays a leaf unless another point
+  * arrives. Each level of the build is one pass over its points, so the
+  * build costs O(N · depth).
   *
   * @param db       the database; `trajIdx` in all APIs is the index into `db`
   * @param maxDepth the paper's parameter E (maximum tree level)
@@ -55,33 +66,51 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
   val root: OctNode = new OctNode(1, bounds)
 
   /** Every point code `(trajIdx << 32) | ptIdx`, leaves laid out in DFS
-    * order (children 0–7, each leaf's points in insertion order); node `n`
-    * owns `flat(n.lo until n.hi)`. Read-only after the build.
+    * order (children 0–7, each leaf's points in (trajectory, index) order);
+    * node `n` owns `flat(n.lo until n.hi)`. Read-only after the build.
     */
-  val flat: Array[Long] = {
-    // Build: insert every point in (trajectory, index) order.
-    var ti = 0
-    while (ti < db.length) {
-      val tr = db(ti)
-      var pi = 0
-      while (pi < tr.points.length) { insert(ti, pi, tr.points(pi)); pi += 1 }
-      ti += 1
+  val flat: Array[Long] = build()
+
+  // JIT: every build loop sits in a method of its own, called from a method,
+  // never in the constructor body or a `val` initialiser, which the JIT
+  // compiles poorly (the fill loop took 17 ms in `val flat = {...}`, 2.3 ms
+  // as a method). And one loop per small method: a draft that ran all of the
+  // partition's loops in one recursive method built a different tree in 4 of
+  // 12 cold JVMs under C2 (never under -Xint, C1 alone or without on-stack
+  // replacement). Split into these methods, the build matched the
+  // incremental one in 24 of 24 fresh JDK 17 JVMs of 40 builds each.
+  private def build(): Array[Long] = {
+    val b = new Octree.Partition(Model.totalPoints(db).toInt)
+    b.fill(db)
+    grow(b, root, 0, b.codes.length, 0)
+    b.codes
+  }
+
+  /** Give `n` the range `[lo, hi)` of the partition, which holds its points
+    * in (trajectory, index) order, and split it by the build rule. `k0` is
+    * the number of its points present when it was created.
+    */
+  private def grow(b: Octree.Partition, n: OctNode, lo: Int, hi: Int, k0: Int): Unit = {
+    n.lo = lo; n.hi = hi; n.remaining = hi - lo
+    n.m = b.distinctTrajs(lo, hi)
+    if (n.level < maxDepth && hi - lo > math.max(leafCap, k0)) {
+      b.route(n.box, lo, hi)
+      val k0s = b.countCells(lo, lo + math.max(leafCap + 1, k0 + 1))
+      val sizes = b.countCells(lo, hi)
+      b.scatter(lo, hi, sizes)
+      n.children = Array.tabulate(8)(ci => new OctNode(n.level + 1, childBox(n.box, ci)))
+      growChildren(b, n, sizes, k0s)
     }
-    val out = new Array[Long](Model.totalPoints(db).toInt)
-    def lay(n: OctNode, at: Int): Int = {
-      n.lo = at
-      n.hi =
-        if (n.isLeaf) {
-          n.pts.copyToArray(out, at)
-          val end = at + n.pts.length
-          n.pts = null
-          end
-        } else n.children.foldLeft(at)((pos, c) => lay(c, pos))
-      n.hi
+  }
+
+  private def growChildren(b: Octree.Partition, n: OctNode, sizes: Array[Int], k0s: Array[Int]): Unit = {
+    var at = n.lo
+    var ci = 0
+    while (ci < 8) {
+      grow(b, n.children(ci), at, at + sizes(ci), k0s(ci))
+      at += sizes(ci)
+      ci += 1
     }
-    lay(root, 0)
-    resetRemaining()
-    out
   }
 
   private def childBox(b: Box, ci: Int): Box = {
@@ -93,42 +122,7 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
       if (tb) mt else b.tmin, if (tb) b.tmax else mt)
   }
 
-  private def childIndex(b: Box, p: Point): Int = {
-    val mx = (b.xmin + b.xmax) / 2; val my = (b.ymin + b.ymax) / 2; val mt = (b.tmin + b.tmax) / 2
-    (if (p.x >= mx) 1 else 0) | (if (p.y >= my) 2 else 0) | (if (p.t >= mt) 4 else 0)
-  }
-
-  private def bump(n: OctNode, trajIdx: Int): Unit =
-    if (n.lastTraj != trajIdx.toLong) { n.m += 1; n.lastTraj = trajIdx.toLong }
-
-  private def insert(trajIdx: Int, ptIdx: Int, p: Point): Unit = {
-    var n = root
-    bump(n, trajIdx)
-    while (!n.isLeaf) {
-      n = n.children(childIndex(n.box, p))
-      bump(n, trajIdx)
-    }
-    n.pts += ((trajIdx.toLong << 32) | (ptIdx.toLong & 0xffffffffL))
-    if (n.pts.length > leafCap && n.level < maxDepth) split(n)
-  }
-
-  private def split(n: OctNode): Unit = {
-    n.children = Array.tabulate(8)(ci => new OctNode(n.level + 1, childBox(n.box, ci)))
-    // push points down in insertion order so the last-seen-trajectory M trick
-    // stays valid for the children
-    val old = n.pts; n.pts = null
-    var i = 0
-    while (i < old.length) {
-      val code = old(i)
-      val ti = Octree.trajOf(code)
-      val p = db(ti).points(Octree.ptOf(code))
-      var c = n.children(childIndex(n.box, p))
-      bump(c, ti)
-      while (!c.isLeaf) { c = c.children(childIndex(c.box, p)); bump(c, ti) }
-      c.pts += code
-      i += 1
-    }
-  }
+  private def childIndex(b: Box, p: Point): Int = Octree.cell(b, p.x, p.y, p.t)
 
   /** Register a workload query: increments Q on every node containing its centre. */
   def addQuery(queryBox: Box): Unit = {
@@ -166,8 +160,8 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
     *  - Root: `Model.bounds`' minima are `<=` and its maxima `>=` every
     *    non-NaN coordinate, `p`'s among them, and the widening adds a
     *    positive amount (or NaN) to the maxima.
-    *  - Step: with midpoint `m` (the same in `childIndex` and
-    *    `childBox`), the build and `split` route `p` to the upper half
+    *  - Step: with midpoint `m` (the same in `Octree.cell` and
+    *    `childBox`), the build routes `p` to the upper half
     *    `[m, max]` only if `p >= m`, and otherwise to the lower half
     *    `[min, m]`, where `p < m` or `m` is NaN. The child inherits the
     *    other bound.
@@ -228,6 +222,100 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
 }
 
 object Octree {
+  /** The child of box `b` that holds (x, y, t): one bit per dimension, set
+    * when the coordinate is at or above the box's midpoint (so a NaN
+    * coordinate goes to the lower half).
+    */
+  @inline private def cell(b: Box, x: Double, y: Double, t: Double): Int = {
+    val mx = (b.xmin + b.xmax) / 2; val my = (b.ymin + b.ymax) / 2; val mt = (b.tmin + b.tmax) / 2
+    (if (x >= mx) 1 else 0) | (if (y >= my) 2 else 0) | (if (t >= mt) 4 else 0)
+  }
+
+  /** The build's working arrays: point codes and coordinates, filled in
+    * (trajectory, index) order and partitioned in place node by node, plus
+    * each point's child cell and a scatter buffer. Each loop is a method of
+    * its own (see `Octree.build`).
+    */
+  private final class Partition(n: Int) {
+    val codes = new Array[Long](n)
+    private val xs = new Array[Double](n)
+    private val ys = new Array[Double](n)
+    private val ts = new Array[Double](n)
+    private val cells = new Array[Byte](n)
+    private val tmpCodes = new Array[Long](n)
+    private val tmpXs = new Array[Double](n)
+    private val tmpYs = new Array[Double](n)
+    private val tmpTs = new Array[Double](n)
+
+    def fill(db: Array[Traj]): Unit = {
+      var at = 0
+      var ti = 0
+      while (ti < db.length) { at = fillTraj(db(ti), ti, at); ti += 1 }
+    }
+
+    private def fillTraj(tr: Traj, ti: Int, from: Int): Int = {
+      val pts = tr.points
+      var pi = 0
+      while (pi < pts.length) {
+        val p = pts(pi)
+        codes(from + pi) = (ti.toLong << 32) | (pi.toLong & 0xffffffffL)
+        xs(from + pi) = p.x; ys(from + pi) = p.y; ts(from + pi) = p.t
+        pi += 1
+      }
+      from + pts.length
+    }
+
+    /** Number of distinct trajectories in `[lo, hi)`, whose codes ascend. */
+    def distinctTrajs(lo: Int, hi: Int): Int = {
+      var m = 0
+      var i = lo
+      while (i < hi) {
+        if (i == lo || trajOf(codes(i)) != trajOf(codes(i - 1))) m += 1
+        i += 1
+      }
+      m
+    }
+
+    /** Record the child cell of box `b` of every point in `[lo, hi)`. */
+    def route(b: Box, lo: Int, hi: Int): Unit = {
+      var i = lo
+      while (i < hi) { cells(i) = cell(b, xs(i), ys(i), ts(i)).toByte; i += 1 }
+    }
+
+    /** Points per cell in `[lo, hi)`, after `route`. */
+    def countCells(lo: Int, hi: Int): Array[Int] = {
+      val c = new Array[Int](8)
+      var i = lo
+      while (i < hi) { c(cells(i)) += 1; i += 1 }
+      c
+    }
+
+    /** Stable partition of `[lo, hi)` by cell, cell 0 first; `sizes` are the
+      * cells' counts.
+      */
+    def scatter(lo: Int, hi: Int, sizes: Array[Int]): Unit = {
+      val next = starts(lo, sizes)
+      var i = lo
+      while (i < hi) {
+        val d = next(cells(i)); next(cells(i)) = d + 1
+        tmpCodes(d) = codes(i); tmpXs(d) = xs(i); tmpYs(d) = ys(i); tmpTs(d) = ts(i)
+        i += 1
+      }
+      System.arraycopy(tmpCodes, lo, codes, lo, hi - lo)
+      System.arraycopy(tmpXs, lo, xs, lo, hi - lo)
+      System.arraycopy(tmpYs, lo, ys, lo, hi - lo)
+      System.arraycopy(tmpTs, lo, ts, lo, hi - lo)
+    }
+
+    private def starts(lo: Int, sizes: Array[Int]): Array[Int] = {
+      val s = new Array[Int](8)
+      var at = lo
+      var c = 0
+      while (c < 8) { s(c) = at; at += sizes(c); c += 1 }
+      s
+    }
+  }
+
   /** Trajectory index of a point code. */
   @inline def trajOf(code: Long): Int = (code >>> 32).toInt
 

@@ -315,6 +315,64 @@ class QdtsEnvSpec extends SparkSpec {
     }
   }
 
+  test("start-cube caches warmed, dirtied and reset equal a fresh env and the reference scan") {
+    val gen = TrajGen.genLocal(TrajGen.chengdu, 8, 47)
+    val db = gen :+ Traj(1000, Array(gen(0).points(0))) :+ Traj(1001, gen(1).points.take(2))
+    val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+    val wl = Workload.dataDist(db, 10, 2000, tmax - tmin, 48)
+    val env = new QdtsEnv(db, wl, params)
+    val fresh = new QdtsEnv(db, wl, params)
+    val cubes = env.octree.frontierAtLevel(params.startLevel)
+    val freshCubes = fresh.octree.frontierAtLevel(params.startLevel)
+    assert(cubes.length > 8)
+    val rng = new java.util.Random(49)
+    for (round <- 1 to 3) {
+      cubes.foreach(env.candidates) // every cache valid
+      for (_ <- 0 until 40 * round) {
+        val ti = rng.nextInt(db.length)
+        env.insertPoint(ti, rng.nextInt(db(ti).length))
+      }
+      if (round == 2) cubes.foreach(env.candidates) // valid again before the reset
+      env.reset()
+      for (i <- cubes.indices) {
+        val msg = s"round $round cube $i"
+        assert(candKey(env.candidates(cubes(i))) === candKey(fresh.candidates(freshCubes(i))), msg)
+        assert(candKey(env.candidates(cubes(i))) === candKey(env.candidatesReference(cubes(i))), msg)
+      }
+    }
+  }
+
+  test("a stop-always simplification gathers from the caches and matches the reference at every step") {
+    for (db <- Seq(TrajGen.genLocal(repro.exp.Experiments.benchProfile.copy(avgLen = 150), 6, 53),
+                   TrajGen.genLocal(TrajGen.tdrive, 6, 53))) {
+      val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+      val env = new QdtsEnv(db, Workload.dataDist(db, 10, 2000, tmax - tmin, 54), params)
+      val seeds = new java.util.Random(55)
+      val n = Model.totalPoints(db).toInt
+      var steps = 0
+      while (env.insertedCount < n) {
+        // Agent-Cube stops at once, so the step gathers at the start cube that
+        // a generator of the same seed samples
+        val seed = seeds.nextLong()
+        val cube = env.sampleStartNode(new java.util.Random(seed))
+        val expected = env.candidatesReference(cube)
+        var pick = -1
+        RL4QDTS.step(env, new java.util.Random(seed), RL4QDTS.Variant(), (_, _) => 8, { (s, mask) =>
+          // the step's own gather produced this state; the gather repeated
+          // here is served from the now valid cache
+          val (es, emask) = env.pointState(cube, expected)
+          assert(s.map(bits).toSeq === es.map(bits).toSeq && mask.toSeq === emask.toSeq, s"step $steps")
+          assert(candKey(env.candidates(cube)) === candKey(expected), s"step $steps")
+          pick = steps % expected.length
+          pick
+        })
+        assert(env.isInserted(expected(pick).trajIdx, expected(pick).ptIdx), s"step $steps")
+        steps += 1
+      }
+      assert(steps === n - 2 * db.length)
+    }
+  }
+
   test("pointValues: a point on its anchor segment has vs 0") {
     val db = Array(Traj(0, Array(
       Point(0, 0, 0), Point(5, 0, 5), Point(10, 0, 10))))

@@ -259,6 +259,87 @@ class OctreeSpec extends SparkSpec with PropSupport {
       s"onFace=$onFace underNaN=$underNaN nanQueries=$nanQueries")
   }
 
+  // --- the top-down build against the incremental reference ---
+
+  private def boxBits(b: Box): Seq[Long] =
+    Seq(b.xmin, b.xmax, b.ymin, b.ymax, b.tmin, b.tmax).map(java.lang.Double.doubleToLongBits)
+
+  /** The two trees agree on `flat` and node by node, in DFS order, on level,
+    * box bits, m, q, `[lo, hi)`, remaining and leafness.
+    */
+  private def assertSameTree(ot: Octree, ref: OctreeReference, clue: String): Unit = {
+    assert(java.util.Arrays.equals(ot.flat, ref.flat), s"$clue: flat")
+    def rec(n: OctNode, r: OctreeReference.Node, path: String): Unit = {
+      assert((n.level, boxBits(n.box), n.m, n.q, n.lo, n.hi, n.remaining, n.isLeaf) ===
+        ((r.level, boxBits(r.box), r.m, r.q, r.lo, r.hi, r.remaining, r.isLeaf)), s"$clue: node $path")
+      if (!n.isLeaf) for (ci <- 0 until 8) rec(n.children(ci), r.children(ci), path + ci)
+    }
+    rec(ot.root, ref.root, "root")
+  }
+
+  /** Build both trees, give them the same queries and insertions, compare. */
+  private def checkAgainstReference(db: Array[Traj], maxDepth: Int, leafCap: Int,
+                                    queries: Seq[Box], inserted: Seq[Point], clue: String): Unit = {
+    val ot = new Octree(db, maxDepth, leafCap)
+    val ref = new OctreeReference(db, maxDepth, leafCap)
+    assertSameTree(ot, ref, s"$clue built")
+    queries.foreach { q => ot.addQuery(q); ref.addQuery(q) }
+    inserted.foreach { p => ot.markInserted(p); ref.markInserted(p) }
+    assertSameTree(ot, ref, s"$clue used")
+  }
+
+  test("the partition build equals the incremental build on the bench database") {
+    val db = repro.exp.Experiments.benchDb()
+    val (_, _, _, _, tmin, tmax) = repro.core.Model.bounds(db)
+    val queries = repro.queries.Workload.dataDist(db, 100, 2000, tmax - tmin, 7).toSeq
+    val rng = new java.util.Random(5)
+    val inserted = Seq.fill(500) { val tr = db(rng.nextInt(db.length)); tr.points(rng.nextInt(tr.length)) }
+    for ((maxDepth, leafCap) <- Seq((8, 32), (8, 4), (3, 2), (6, 1), (5, 100), (1, 1), (8, 0)))
+      checkAgainstReference(db, maxDepth, leafCap, queries, inserted.distinct, s"bench ($maxDepth, $leafCap)")
+  }
+
+  test("the partition build equals the incremental build on random databases") {
+    // small integer grids repeat points; some coordinates are NaN; some
+    // trajectories have zero or one point
+    val cases = for {
+      seed <- Gen.choose(0L, Long.MaxValue)
+      nTrajs <- Gen.chooseNum(0, 10)
+      maxDepth <- Gen.oneOf(1, 2, 3, 5, 12)
+      leafCap <- Gen.oneOf(0, 1, 2, 4, 100)
+    } yield {
+      val rng = new java.util.Random(seed)
+      def coord(): Double = if (rng.nextInt(8) == 0) Double.NaN else rng.nextInt(6).toDouble
+      val db = Array.tabulate(nTrajs) { i =>
+        val len = rng.nextInt(4) match { case 0 => 0; case 1 => 1; case _ => rng.nextInt(60) }
+        Traj(i, Array.fill(len)(Point(coord(), coord(), coord())))
+      }
+      val queries = Seq.fill(10) { val (x, y, t) = (coord(), coord(), coord()); Box(x, x + 2, y, y + 2, t, t + 2) }
+      val inserted = db.toSeq.flatMap(_.points).filter(_ => rng.nextInt(3) == 0)
+      (db, maxDepth, leafCap, queries, inserted)
+    }
+    forAllN(cases, 300) { case (db, maxDepth, leafCap, queries, inserted) =>
+      checkAgainstReference(db, maxDepth, leafCap, queries, inserted,
+        s"maxDepth=$maxDepth leafCap=$leafCap lengths=${db.map(_.length).toSeq}")
+    }
+  }
+
+  test("a child that receives a whole split splits only when one more point arrives") {
+    // leafCap = 2: the root splits at its third point, and all three go to
+    // child 0, which is then created holding leafCap + 1 points; the last
+    // point (the bounds' far corner) goes to child 7
+    val three = Seq(Point(0, 0, 0), Point(1, 0, 1), Point(0, 1, 2))
+    val corner = Traj(1, Array(Point(100, 100, 100)))
+    val stays = Array(Traj(0, three.toArray), corner)
+    val ot = new Octree(stays, maxDepth = 5, leafCap = 2)
+    assert(!ot.root.isLeaf && ot.root.children(0).isLeaf && ot.root.children(0).nPoints === 3)
+    checkAgainstReference(stays, 5, 2, Nil, Nil, "nothing more arrives")
+    // a fourth point in child 0 makes it split at leafCap + 2 points
+    val grows = Array(Traj(0, (three :+ Point(2, 2, 3)).toArray), corner)
+    val ot2 = new Octree(grows, maxDepth = 5, leafCap = 2)
+    assert(!ot2.root.children(0).isLeaf && ot2.root.children(0).nPoints === 4)
+    checkAgainstReference(grows, 5, 2, Nil, Nil, "one more arrives")
+  }
+
   test("octree of a single-point database works") {
     val db = Array(Traj(0, Array(Point(1, 2, 3))))
     val ot = new Octree(db, 5, 4)

@@ -67,7 +67,11 @@ object SpanSearch {
     kept.toArray
   }
 
-  /** Simplify one trajectory to at most `budget` points via binary search on ε. */
+  /** Simplify one trajectory to at most `max(2, budget)` points via binary
+    * search on ε. When even the loosest pass (ε = π) keeps too many points,
+    * as on a trajectory that returns to an earlier point (a zero-length
+    * anchor), the endpoints are returned.
+    */
   def simplifyOne(tr: Traj, budget: Int): Array[Int] = {
     val n = tr.length
     if (n <= 2 || budget >= n) return Array.tabulate(n)(identity)
@@ -83,7 +87,7 @@ object SpanSearch {
       if (kept.length <= b) { best = kept; hi = mid } else lo = mid
       it += 1
     }
-    best
+    if (best.length <= b) best else Array(0, n - 1)
   }
 
   /** E adaptation (the only one): per-trajectory proportional budgets. */

@@ -98,24 +98,6 @@ object Experiments {
     private val (xmin, xmax, ymin, ymax, tmin, tmax) = Model.bounds(db)
     private val span = math.max(tmax - tmin, 1.0)
 
-    // --- range queries (paper: 2km x 2km x 7 days ~= the whole span) ---
-    // rejection-sample to non-empty ground truths: data-distribution queries
-    // are non-empty by construction, and empty-result queries score F1=1 for
-    // every method, only diluting the measure. Each raw query is answered
-    // once, from an octree over `db`, with the same result as
-    // `RangeQuery.inMemory`; its hits give both the filter and the ground truth
-    private val rangeIndex = new Octree(db, QdtsParams().maxLevel, QdtsParams().leafCap)
-    private val rangeSel: Array[(Box, Set[Long])] = {
-      val raw = Workload.generate(workloadKind, db, nRange * 4, 2000.0, span, seed).map { q =>
-        val hit = rangeIndex.trajsIn(q)
-        (q, db.indices.iterator.filter(hit).map(db(_).id).toSet)
-      }
-      val nonEmpty = raw.filter(_._2.nonEmpty)
-      (if (nonEmpty.length >= nRange) nonEmpty else raw).take(nRange)
-    }
-    val rangeQs: Array[Box] = rangeSel.map(_._1)
-    private val rangeGt: Array[Set[Long]] = rangeSel.map(_._2)
-
     /** A query trajectory's own time window. A zero-point trajectory has
       * none; it gets the one-instant window [0, 0], which its empty query
       * answers the same way on every database.
@@ -123,29 +105,56 @@ object Experiments {
     private def ownWindow(q: Traj): (Double, Double) =
       if (q.points.isEmpty) (0.0, 0.0) else (q.points.head.t, q.points.last.t)
 
-    // --- kNN queries: sampled query trajectories over their own windows ---
+    // --- kNN and similarity queries: sampled query trajectories over their own windows ---
     private val rng = new java.util.Random(seed + 1)
     private val knnIdx: Array[Int] = Array.fill(nKnn)(rng.nextInt(db.length))
     private val knnWin: Array[(Double, Double)] = knnIdx.map(i => ownWindow(db(i)))
+    private val simIdx: Array[Int] = Array.fill(nSim)(rng.nextInt(db.length))
+    private val simWin: Array[(Double, Double)] = simIdx.map(i => ownWindow(db(i)))
+    private val simDelta = 5000.0 // paper: 5 km threshold
+
     /** Every kNN query's 3 nearest trajectories of `on` under `sim`. */
     private def knnResults(on: Array[Traj], sim: KnnQuery.Similarity): Array[Seq[Long]] =
       knnIdx.zip(knnWin).map { case (i, (ts, te)) => KnnQuery.knn(on, db(i), ts, te, 3, sim) }
-    private val knnGtEdr: Array[Seq[Long]] = knnResults(db, KnnQuery.EDR)
-    private val knnGtEmb: Array[Seq[Long]] = knnResults(db, KnnQuery.Embed)
 
-    // --- similarity queries (paper: 5km threshold) ---
-    private val simIdx: Array[Int] = Array.fill(nSim)(rng.nextInt(db.length))
-    private val simWin: Array[(Double, Double)] = simIdx.map(i => ownWindow(db(i)))
-    private val simDelta = 5000.0
-    private val simGt: Array[Set[Long]] = simIdx.zip(simWin).map { case (i, (ts, te)) =>
-      SimilarityQuery.similar(db, db(i), ts, te, simDelta)
-    }
+    /** Every similarity query's answer on `on`. */
+    private def similar(on: Array[Traj]): Array[Set[Long]] =
+      simIdx.zip(simWin).map { case (i, (ts, te)) => SimilarityQuery.similar(on, db(i), ts, te, simDelta) }
 
     // --- clustering (TRACLUS) on a fixed subset ---
     private val cluIds: Set[Long] = db.take(clusterTrajs).map(_.id).toSet
     private val cluTol = 100.0; private val cluEps = 1500.0; private val cluMin = 3
-    private val cluGt: Set[(Long, Long)] =
-      Traclus.clusterPairs(db.filter(t => cluIds(t.id)), cluTol, cluEps, cluMin)
+    private def clusterPairs(on: Array[Traj]): Set[(Long, Long)] =
+      Traclus.clusterPairs(on.filter(t => cluIds(t.id)), cluTol, cluEps, cluMin)
+
+    // --- range queries (paper: 2km x 2km x 7 days ~= the whole span) ---
+    // rejection-sample to non-empty ground truths: data-distribution queries
+    // are non-empty by construction, and empty-result queries score F1=1 for
+    // every method, only diluting the measure. Each raw query is answered
+    // once, from an octree over `db`, with the same result as
+    // `RangeQuery.inMemory`; its hits give both the filter and the ground truth
+    private def rangeSelection(): Array[(Box, Set[Long])] = {
+      val index = new Octree(db, QdtsParams().maxLevel, QdtsParams().leafCap)
+      val raw = Workload.generate(workloadKind, db, nRange * 4, 2000.0, span, seed).map { q =>
+        val hit = index.trajsIn(q)
+        (q, db.indices.iterator.filter(hit).map(db(_).id).toSet)
+      }
+      val nonEmpty = raw.filter(_._2.nonEmpty)
+      (if (nonEmpty.length >= nRange) nonEmpty else raw).take(nRange)
+    }
+
+    // the ground truths, as concurrent tasks once every query is drawn
+    private val (rangeSel, knnGtEdr, knnGtEmb, simGt, cluGt) = {
+      var range: Array[(Box, Set[Long])] = null
+      var edr, emb: Array[Seq[Long]] = null
+      var sim: Array[Set[Long]] = null
+      var clu: Set[(Long, Long)] = null
+      Par.all(Seq(() => edr = knnResults(db, KnnQuery.EDR), () => range = rangeSelection(),
+        () => clu = clusterPairs(db), () => emb = knnResults(db, KnnQuery.Embed), () => sim = similar(db)))
+      (range, edr, emb, sim, clu)
+    }
+    val rangeQs: Array[Box] = rangeSel.map(_._1)
+    private val rangeGt: Array[Set[Long]] = rangeSel.map(_._2)
 
     /** Number of non-trivial ground-truth results (bench sanity reporting). */
     def gtSummary: String =
@@ -163,17 +172,18 @@ object Experiments {
       Quality.mean(gt.indices.map(j => Quality.knnF1(gt(j), res(j))))
     }
 
+    /** The five task F1s of `s`, scored as concurrent tasks, the longest first. */
     def evaluate(s: SimpleDB): TaskF1 = {
       val simp = s.materialise(db)
-      val range = rangeScore(simp)
-      val kEdr = knnScore(simp, KnnQuery.EDR, knnGtEdr)
-      val kEmb = knnScore(simp, KnnQuery.Embed, knnGtEmb)
-      val sim = Quality.mean(simIdx.indices.map { j =>
-        val (ts, te) = simWin(j)
-        Quality.f1(simGt(j), SimilarityQuery.similar(simp, db(simIdx(j)), ts, te, simDelta))
-      })
-      val clu = Quality.f1(cluGt,
-        Traclus.clusterPairs(simp.filter(t => cluIds(t.id)), cluTol, cluEps, cluMin))
+      val Seq(clu, kEdr, kEmb, range, sim) = Par.all(Seq(
+        () => Quality.f1(cluGt, clusterPairs(simp)),
+        () => knnScore(simp, KnnQuery.EDR, knnGtEdr),
+        () => knnScore(simp, KnnQuery.Embed, knnGtEmb),
+        () => rangeScore(simp),
+        () => {
+          val res = similar(simp)
+          Quality.mean(simGt.indices.map(j => Quality.f1(simGt(j), res(j))))
+        }))
       TaskF1(range, kEdr, kEmb, sim, clu)
     }
 

@@ -173,14 +173,54 @@ object Traclus {
     * '''Lists.''' Row `i` receives every `i' < i` in increasing order, then
     * itself and its sorted `j > i`. So each row of the compressed list is
     * ascending, and queue order and cluster ids equal `dbscanReference`'s.
+    *
+    * '''Chunks.''' Rows are independent: each chunk of rows gets its own
+    * scratch and edge list, and the lists are sorted into rows in chunk
+    * order, which is the order of one serial pass.
     */
-  def dbscan(segs: Array[Seg], eps: Double, minLns: Int): Array[Int] = {
+  def dbscan(segs: Array[Seg], eps: Double, minLns: Int): Array[Int] =
+    dbscan(segs, eps, minLns, Par.chunks(segs.length))
+
+  /** `dbscan` with its rows scored in `chunks` concurrent chunks ([[Par]]);
+    * every count gives the same result.
+    */
+  private[queries] def dbscan(segs: Array[Seg], eps: Double, minLns: Int, chunks: Int): Array[Int] = {
     val g = new SegArrays(segs)
     val n = g.n
     val grid = new SegGrid(g, eps)
+    val parts = Par.all((0 until chunks).map { c =>
+      () => rowEdges(g, grid, eps, (c.toLong * n / chunks).toInt, ((c + 1).toLong * n / chunks).toInt)
+    })
+    // stable counting sort of the edges by row
+    val start = new Array[Int](n + 1)
+    for (edges <- parts) {
+      var k = 0
+      while (k < edges.length) { start((edges(k) >>> 32).toInt + 1) += 1; k += 1 }
+    }
+    var k = 0
+    while (k < n) { start(k + 1) += start(k); k += 1 }
+    val next = java.util.Arrays.copyOf(start, n)
+    val adj = new Array[Int](start(n))
+    for (edges <- parts) {
+      k = 0
+      while (k < edges.length) {
+        val row = (edges(k) >>> 32).toInt
+        adj(next(row)) = edges(k).toInt
+        next(row) += 1
+        k += 1
+      }
+    }
+    expand(minLns, start, adj)
+  }
+
+  /** The edges (row << 32 | column) that rows `[lo, hi)` of `dbscan` emit,
+    * in emission order: for each row `i`, every `(j, i)` with `j > i`, then
+    * `(i, i)` if `i` is its own neighbour, then its sorted `(i, j)`.
+    */
+  private def rowEdges(g: SegArrays, grid: SegGrid, eps: Double, lo: Int, hi: Int): Array[Long] = {
+    val n = g.n
     val cut2 = grid.cut2
-    // edges (row << 32 | column) in the order rows must list them
-    var edges = new Array[Long](math.max(16, 2 * n))
+    var edges = new Array[Long](math.max(16, 2 * (hi - lo)))
     var m = 0
     def emit(row: Int, col: Int): Unit = {
       if (m == edges.length) edges = java.util.Arrays.copyOf(edges, 2 * m)
@@ -200,8 +240,8 @@ object Traclus {
           if (g.dist(j, i) <= eps) emit(j, i)
         }
       }
-    var i = 0
-    while (i < n) {
+    var i = lo
+    while (i < hi) {
       nLater = 0
       if (grid.finite(i)) {
         val cx1 = math.min(grid.cellX(g.maxX(i)) + 1, grid.nx - 1)
@@ -232,22 +272,7 @@ object Traclus {
       while (k < nLater) { emit(i, later(k)); k += 1 }
       i += 1
     }
-    // stable counting sort of the edges by row
-    val start = new Array[Int](n + 1)
-    var k = 0
-    while (k < m) { start((edges(k) >>> 32).toInt + 1) += 1; k += 1 }
-    k = 0
-    while (k < n) { start(k + 1) += start(k); k += 1 }
-    val next = java.util.Arrays.copyOf(start, n)
-    val adj = new Array[Int](m)
-    k = 0
-    while (k < m) {
-      val row = (edges(k) >>> 32).toInt
-      adj(next(row)) = edges(k).toInt
-      next(row) += 1
-      k += 1
-    }
-    expand(minLns, start, adj)
+    java.util.Arrays.copyOf(edges, m)
   }
 
   /** The box cut-off of `dbscan` at `eps` over the segments of `g`, and a

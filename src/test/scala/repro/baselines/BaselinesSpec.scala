@@ -63,20 +63,24 @@ class BaselinesSpec extends SparkSpec with PropSupport {
     }
   }
 
-  /** A trajectory of up to five pieces after its first point: a run of one
-    * repeated (x, y) or a collinear stretch of equal integer steps, one
-    * second apart. Every step moves right or not at all, so equal points are
-    * always consecutive.
+  /** A trajectory of up to five pieces after its first point, one second
+    * apart: a run of one repeated (x, y), a collinear stretch of equal integer
+    * steps to the right, or a return to the point 2 to 8 samples back (the
+    * first point, if there are fewer), so equal points can also be far apart.
     */
   private val genTieTraj: Gen[Array[Point]] = for {
     nPieces <- Gen.choose(0, 5)
     pieces <- Gen.listOfN(nPieces, Gen.oneOf(
       Gen.choose(1, 6).map(k => (0, 0, k)),
-      for { dx <- Gen.choose(1, 3); dy <- Gen.choose(-2, 2); k <- Gen.choose(1, 8) } yield (dx, dy, k)))
+      for { dx <- Gen.choose(1, 3); dy <- Gen.choose(-2, 2); k <- Gen.choose(1, 8) } yield (dx, dy, k),
+      Gen.choose(2, 8).map(back => (0, 0, -back))))
   } yield {
-    val steps = pieces.flatMap { case (dx, dy, k) => Seq.fill(k)((dx, dy)) }
-    steps.scanLeft((0, 0)) { case ((x, y), (dx, dy)) => (x + dx, y + dy) }
-      .zipWithIndex.map { case ((x, y), i) => Point(x, y, i) }.toArray
+    val xy = scala.collection.mutable.ArrayBuffer((0, 0))
+    for ((dx, dy, k) <- pieces) {
+      if (k < 0) xy += xy(math.max(0, xy.length + k))
+      else for (_ <- 0 until k) xy += ((xy.last._1 + dx, xy.last._2 + dy))
+    }
+    xy.zipWithIndex.map { case ((x, y), i) => Point(x, y, i) }.toArray
   }
 
   test("property: every catalog method stays valid and repeatable on repeated and collinear points") {

@@ -83,6 +83,14 @@ class SpanSearchSpec extends SparkSpec {
       Seq(0, 15), Seq(0, 13, 14, 15), Seq(0, 5, 7, 15), Seq(0, 5, 7, 15)))
     val tr1 = Traj(1, Array(Point(0, 0, 0), Point(nan, 0, 1), Point(0, 0, 2), Point(1, 1, 3)))
     for (tol <- Seq(0.0, 1.0, math.Pi)) assert(greedy(tr1, tol).toSeq === Seq(0, 1, 3))
-    assert(SpanSearch.simplifyOne(tr1, 2).toSeq === Seq(0, 1, 3))
+    // every pass is over budget 2, so simplifyOne keeps the endpoints
+    assert(SpanSearch.simplifyOne(tr1, 2).toSeq === Seq(0, 3))
+  }
+
+  test("simplifyOne keeps its budget on a trajectory that returns to an earlier point") {
+    // the zero-length anchor 0 -> 2 fails every pass, which keeps all 3 points
+    val back = Traj(0, Array(Point(0, 0, 0), Point(1, 0, 1), Point(0, 0, 2)))
+    assert(greedy(back, math.Pi).toSeq === Seq(0, 1, 2))
+    assert(SpanSearch.simplifyOne(back, 2).toSeq === Seq(0, 2))
   }
 }

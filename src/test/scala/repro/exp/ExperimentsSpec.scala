@@ -55,23 +55,80 @@ class ExperimentsSpec extends SparkSpec {
     assert(math.abs(ev.rangeF1(s) - ev.evaluate(s).range) < 1e-12)
   }
 
-  test("evaluate returns the pinned F1 bits on the 30-trajectory bench DB") {
+  /** The 30-trajectory bench DB, its evaluator, and each pinned simplification
+    * with the raw bits (hex) of its five F1s.
+    */
+  private lazy val pinned = {
     val src = scala.io.Source.fromResource("repro/exp/evaluate_pins.txt")
     val pins = try src.getLines().filterNot(_.startsWith("#")).toVector finally src.close()
     assert(pins.length === 4)
     val bench = Experiments.benchDb(nTrajs = 30)
-    val ev = new Experiments.Evaluator(bench, "data")
-    for (line <- pins) {
+    val cases = pins.map { line =>
       val Array(method, frac, bits @ _*) = line.split(" ")
       val s =
         if (method == "endpoints") firstLast(bench)
         else TopDown.simplifyW(ErrorMeasures.byName(method), bench,
           (frac.toDouble * Model.totalPoints(bench)).toInt)
-      val f = ev.evaluate(s)
-      val got = Seq(f.range, f.knnEdr, f.knnEmbed, f.similarity, f.clustering)
-        .map(v => java.lang.Long.toHexString(java.lang.Double.doubleToRawLongBits(v)))
-      assert(got === bits, s"$method $frac: ${f.fmt}")
+      (s"$method $frac", s, bits)
     }
+    (new Experiments.Evaluator(bench, "data"), cases)
+  }
+
+  private def f1Bits(f: Experiments.TaskF1): Seq[String] =
+    Seq(f.range, f.knnEdr, f.knnEmbed, f.similarity, f.clustering)
+      .map(v => java.lang.Long.toHexString(java.lang.Double.doubleToRawLongBits(v)))
+
+  test("evaluate returns the pinned F1 bits on the 30-trajectory bench DB") {
+    val (ev, cases) = pinned
+    for ((name, s, bits) <- cases) {
+      val f = ev.evaluate(s)
+      assert(f1Bits(f) === bits, s"$name: ${f.fmt}")
+    }
+  }
+
+  test("one evaluator scored from 4 threads at once returns the pinned F1 bits") {
+    val (ev, cases) = pinned
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val results = new java.util.concurrent.ConcurrentLinkedQueue[(String, Seq[String], Seq[String])]()
+    val threads = Seq.tabulate(4) { k =>
+      new Thread(() => {
+        start.await()
+        // each thread scores every case, starting from a different one
+        for (c <- cases.indices) {
+          val (name, s, bits) = cases((c + k) % cases.length)
+          results.add((name, f1Bits(ev.evaluate(s)), bits))
+        }
+      })
+    }
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    assert(results.size === 4 * cases.length)
+    results.forEach { case (name, got, bits) => assert(got === bits, name) }
+  }
+
+  test("a failing task rethrows its own exception, not a wrapper") {
+    // Par directly: the failure happens on another thread than the one waiting for it
+    val boom = new IllegalStateException("boom")
+    val thrown = new java.util.concurrent.CountDownLatch(1)
+    val ran = new java.util.concurrent.atomic.AtomicInteger
+    val e = intercept[IllegalStateException] {
+      repro.queries.Par.all(Seq(
+        () => { thrown.await(10, java.util.concurrent.TimeUnit.SECONDS); ran.incrementAndGet() },
+        () => try throw boom finally thrown.countDown(),
+        () => throw new IllegalArgumentException("later"),
+        () => ran.incrementAndGet()))
+    }
+    assert(e eq boom)
+    assert(ran.get === 2) // the other tasks still ran to the end
+    // Evaluator: a trajectory broken after the ground truths were built
+    // makes every task throw a NullPointerException of its own
+    val small = Experiments.benchDb(nTrajs = 5)
+    val ev = new Experiments.Evaluator(small, "data")
+    val identity = SimpleDB(small.map(t => t.id -> Array.range(0, t.length)).toMap)
+    small(0).points(1) = null
+    val npe = intercept[NullPointerException](ev.evaluate(identity))
+    assert(npe.getCause === null)
   }
 
   test("the evaluator builds and scores a DB that holds a zero-point trajectory") {

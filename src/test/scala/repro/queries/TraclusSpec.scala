@@ -156,12 +156,22 @@ class TraclusSpec extends SparkSpec with PropSupport {
     math.hypot(gap(s1.a.x, s1.b.x, s2.a.x, s2.b.x), gap(s1.a.y, s1.b.y, s2.a.y, s2.b.y))
   }
 
+  /** `dbscan`, and its rows scored in 1, 2, 3, 7 and `n` chunks, equal
+    * `dbscanReference` on `segs` (small sets stay under the size at which
+    * `dbscan` splits rows by itself).
+    */
+  private def assertChunked(segs: Array[Seg], eps: Double, minLns: Int, ctx: String): Unit = {
+    val ref = Traclus.dbscanReference(segs, eps, minLns).toSeq
+    assert(Traclus.dbscan(segs, eps, minLns).toSeq === ref, ctx)
+    for (chunks <- Seq(1, 2, 3, 7, math.max(1, segs.length)))
+      assert(Traclus.dbscan(segs, eps, minLns, chunks).toSeq === ref, s"$ctx chunks=$chunks")
+  }
+
   test("dbscan equals the naive all-pairs dbscanReference on random segment sets") {
     var between = 0 // pairs with a box gap in (eps, 2·eps]
     var farNeighbours = 0 // neighbours with a box gap above eps / 2
     forAllN3(segSets, epsValues, Gen.oneOf(0, 1, 2, 3, 5), 400) { (segs, eps, minLns) =>
-      assert(Traclus.dbscan(segs, eps, minLns).toSeq ===
-        Traclus.dbscanReference(segs, eps, minLns).toSeq, s"eps=$eps minLns=$minLns n=${segs.length}")
+      assertChunked(segs, eps, minLns, s"eps=$eps minLns=$minLns n=${segs.length}")
       if (eps > 0 && eps < unit * 10)
         for (s1 <- segs; s2 <- segs) {
           val g = boxGap(s1, s2)
@@ -178,7 +188,7 @@ class TraclusSpec extends SparkSpec with PropSupport {
       val db = TrajGen.genLocal(profile, 80, seed)
       val segs = Traclus.partition(db, tol = 100.0)
       val ref = Traclus.dbscanReference(segs, eps, minLns = 3)
-      assert(Traclus.dbscan(segs, eps, minLns = 3).toSeq === ref.toSeq, s"${profile.name} eps=$eps")
+      assertChunked(segs, eps, 3, s"${profile.name} eps=$eps")
       val pairs = Traclus.clusterPairs(db, 100.0, eps, 3)
       assert(pairs === Traclus.coClustered(segs, ref))
       assert(pairs.nonEmpty, s"${profile.name} eps=$eps")
@@ -289,8 +299,7 @@ class TraclusSpec extends SparkSpec with PropSupport {
         Seq(Seg(id, pt(v, o), pt(v + d, o2)), Seg(id + 1, pt(below - d, o2), pt(below, o)))
       }
       val segs = base ++ extra
-      assert(Traclus.dbscan(segs, eps, minLns).toSeq === Traclus.dbscanReference(segs, eps, minLns).toSeq,
-        s"mode=$mode eps=$eps minLns=$minLns n=${segs.length}")
+      assertChunked(segs, eps, minLns, s"mode=$mode eps=$eps minLns=$minLns n=${segs.length}")
       val g = new Traclus.SegGrid(new Traclus.SegArrays(segs), eps)
       if (g.nx >= 4 && g.ny >= 4) fourByFour += 1
       onBoundary += added.count { case (isX, v) =>

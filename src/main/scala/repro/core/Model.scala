@@ -113,10 +113,18 @@ object Model {
     var xmin = Double.MaxValue; var xmax = Double.MinValue
     var ymin = Double.MaxValue; var ymax = Double.MinValue
     var tmin = Double.MaxValue; var tmax = Double.MinValue
-    for (tr <- db; p <- tr.points) {
-      if (p.x < xmin) xmin = p.x; if (p.x > xmax) xmax = p.x
-      if (p.y < ymin) ymin = p.y; if (p.y > ymax) ymax = p.y
-      if (p.t < tmin) tmin = p.t; if (p.t > tmax) tmax = p.t
+    var ti = 0
+    while (ti < db.length) {
+      val pts = db(ti).points
+      var i = 0
+      while (i < pts.length) {
+        val p = pts(i)
+        if (p.x < xmin) xmin = p.x; if (p.x > xmax) xmax = p.x
+        if (p.y < ymin) ymin = p.y; if (p.y > ymax) ymax = p.y
+        if (p.t < tmin) tmin = p.t; if (p.t > tmax) tmax = p.t
+        i += 1
+      }
+      ti += 1
     }
     (xmin, xmax, ymin, ymax, tmin, tmax)
   }

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.Par
 import repro.index.{OctNode, Octree}
 import repro.traj.ErrorMeasures
 
@@ -43,6 +44,11 @@ final case class QdtsParams(
   * cube's trajectory count plus the points of its stale slots. A gather
   * below the start cube is one sequential pass over the cube's `[lo, hi)`
   * of the flat arrays. Either feeds the same top-K insertion.
+  *
+  * Construction runs its independent parts as [[Par]] tasks: the octree's
+  * subtrees, the range ground truth in query chunks and the endpoints-only
+  * (v_s, v_t) in trajectory chunks. Each task writes only its own slots, so
+  * the env is the same whatever the thread count.
   *
   * Training builds one env per database and calls `reset()` at the start
   * of every episode; inference (`RL4QDTS.simplify`) resets it before each
@@ -174,7 +180,7 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
 
   // ---- incremental F1 over the range-query workload ----
   // ground truth on the original database
-  private val gt: Array[Array[Boolean]] = workload.map(octree.trajsIn)
+  private val gt: Array[Array[Boolean]] = groundTruth()
   private val gtSize: Array[Int] = gt.map(_.count(identity))
   // current state on the simplified database
   private val inBox: Array[Array[Boolean]] = workload.map(_ => new Array[Boolean](db.length))
@@ -194,9 +200,36 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
   private val rsSize0: Array[Int] = rsSize.clone()
   private val matched0: Array[Int] = matched.clone()
 
+  /** `workload.map(octree.trajsIn)` in query chunks; the chunk count
+    * follows the point count, which sets the cost of a query.
+    */
+  private def groundTruth(): Array[Array[Boolean]] =
+    Par.ranges(workload.length, Par.chunks(trajF.length)) { (lo, hi) =>
+      workload.slice(lo, hi).map(octree.trajsIn)
+    }.toArray.flatten
+
+  /** Insert every trajectory's endpoints, which is what inserting them one
+    * by one with `insertPoint` does: the values of a trajectory's inner
+    * points are those of anchor segment (first, last), computed in
+    * trajectory chunks, each writing only its own trajectories' slots; then
+    * the endpoints are recorded in trajectory order.
+    */
   private def insertEndpoints(): Unit = {
+    Par.ranges(db.length, Par.chunks(trajF.length))(refreshWhole)
     var ti = 0
-    while (ti < db.length) { Model.endpoints(db(ti).length).foreach(insertPoint(ti, _)); ti += 1 }
+    while (ti < db.length) {
+      Model.endpoints(db(ti).length).foreach(pi => record(ti, pi, pos(ti)(pi)))
+      ti += 1
+    }
+  }
+
+  /** The values of trajectories `[lo, hi)` with only their endpoints kept. */
+  private def refreshWhole(lo: Int, hi: Int): Unit = {
+    var ti = lo
+    while (ti < hi) {
+      if (db(ti).length >= 2) refresh(ti, 0, db(ti).length - 1)
+      ti += 1
+    }
   }
 
   /** Restore D' to the most simplified database: the endpoints of every
@@ -244,13 +277,21 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
   def insertPoint(ti: Int, pi: Int): Boolean = {
     val f = pos(ti)(pi)
     if (inserted(f)) return false
-    inserted(f) = true
-    slotFresh(slotOf(f)) = false
-    nInserted += 1
     val a = prevAnchor(ti, pi)
     val b = nextAnchor(ti, pi)
     if (a >= 0) refresh(ti, a, pi)
     if (b < db(ti).length) refresh(ti, pi, b)
+    record(ti, pi, f)
+    true
+  }
+
+  /** Put point `pi` of trajectory `ti`, at flat index `f`, into D': its flag,
+    * its slot's cache, the octree's remaining counts and the query state.
+    */
+  private def record(ti: Int, pi: Int, f: Int): Unit = {
+    inserted(f) = true
+    slotFresh(slotOf(f)) = false
+    nInserted += 1
     val p = db(ti).points(pi)
     octree.markInserted(p)
     var qi = 0
@@ -262,7 +303,6 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
       }
       qi += 1
     }
-    true
   }
 
   /** Nearest inserted index of trajectory `ti` before `pi`, or -1. */
@@ -569,4 +609,8 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
   }
 
   private[core] def isInserted(ti: Int, pi: Int): Boolean = inserted(pos(ti)(pi))
+
+  /** The ground truth, `inBox`, `rsSize` and `matched` (test support). */
+  private[core] def queryState: (Seq[Seq[Boolean]], Seq[Seq[Boolean]], Seq[Int], Seq[Int]) =
+    (gt.toSeq.map(_.toSeq), inBox.toSeq.map(_.toSeq), rsSize.toSeq, matched.toSeq)
 }

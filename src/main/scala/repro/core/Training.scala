@@ -180,15 +180,18 @@ object Training {
           sinceWindow = 0
         }
 
+        // diff of the current D': the previous step's `after`
+        var before = env.diff
         while (env.insertedCount < target) {
-          val before = env.diff
           RL4QDTS.step(env, rng, RL4QDTS.Variant(), cubeAction, pointAction)
           // this insertion's own F1 improvement; the window's rewards
           // telescope to the Eq. 10 window reward, so the accumulated
           // objective of Eq. 11 is unchanged, but each decision of both
           // agents is credited with the gain it actually produced; the deltas
           // are small, so they are scaled by 100 for gradient signal
-          val r = (before - env.diff) * 100.0
+          val after = env.diff
+          val r = (before - after) * 100.0
+          before = after
           agents.point.remember(
             Transition(pointS, pointA, r, new Array[Double](pointS.length), pointMask, done = true))
           if (cubeS != null) {

@@ -1,5 +1,6 @@
 package repro.exp
 
+import repro.Par
 import repro.core._
 import repro.data.TrajGen
 import repro.baselines.{Baselines, RltsPlus}
@@ -132,9 +133,12 @@ object Experiments {
     // are non-empty by construction, and empty-result queries score F1=1 for
     // every method, only diluting the measure. Each raw query is answered
     // once, from an octree over `db`, with the same result as
-    // `RangeQuery.inMemory`; its hits give both the filter and the ground truth
+    // `RangeQuery.inMemory`; its hits give both the filter and the ground truth.
+    // The octree is built as one task: this runs beside four other ground
+    // truths, and its own tasks made the second and third set-ups of a
+    // fresh JVM slower (perfbench `setup_s` +17 %)
     private def rangeSelection(): Array[(Box, Set[Long])] = {
-      val index = new Octree(db, QdtsParams().maxLevel, QdtsParams().leafCap)
+      val index = Par.inCaller(new Octree(db, QdtsParams().maxLevel, QdtsParams().leafCap))
       val raw = Workload.generate(workloadKind, db, nRange * 4, 2000.0, span, seed).map { q =>
         val hit = index.trajsIn(q)
         (q, db.indices.iterator.filter(hit).map(db(_).id).toSet)

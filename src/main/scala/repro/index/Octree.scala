@@ -1,6 +1,7 @@
 package repro.index
 
 import scala.collection.mutable.ArrayBuffer
+import repro.Par
 import repro.core.{Box, Model, Point, Traj}
 
 /** A node of the adaptive octree. `level` is 1-based as in the paper (the
@@ -48,11 +49,25 @@ final class OctNode(val level: Int, val box: Box) {
   * arrives. Each level of the build is one pass over its points, so the
   * build costs O(N · depth).
   *
+  * Each node owns a disjoint `[lo, hi)` range of the partition arrays, so
+  * subtrees can be grown independently (parallel octree construction,
+  * Karras, HPG 2012). The caller partitions the levels above `cutLevel`,
+  * each pass in concurrent chunks whose per-chunk cell counts keep the
+  * partition stable; every node at `cutLevel` then grows its subtree as one
+  * [[Par]] task, the largest first, writing only its own range and its own
+  * nodes. Below `Par.chunks`' row threshold all of them form one task.
+  * Every cut level builds the same tree.
+  *
   * @param db       the database; `trajIdx` in all APIs is the index into `db`
   * @param maxDepth the paper's parameter E (maximum tree level)
   * @param leafCap  adaptive split threshold (points per leaf before splitting)
+  * @param cutLevel the level whose nodes grow as tasks; 0 grows the whole
+  *                 tree in the caller (test hook)
   */
-final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32) {
+final class Octree private[index] (val db: Array[Traj], val maxDepth: Int, val leafCap: Int,
+                                   cutLevel: Int) {
+
+  def this(db: Array[Traj], maxDepth: Int, leafCap: Int = 32) = this(db, maxDepth, leafCap, Octree.cutLevel)
 
   val bounds: Box = {
     val (xmin, xmax, ymin, ymax, tmin, tmax) = Model.bounds(db)
@@ -78,36 +93,53 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
   // partition's loops in one recursive method built a different tree in 4 of
   // 12 cold JVMs under C2 (never under -Xint, C1 alone or without on-stack
   // replacement). Split into these methods, the build matched the
-  // incremental one in 24 of 24 fresh JDK 17 JVMs of 40 builds each.
+  // incremental one in 24 of 24 fresh JDK 17 JVMs of 40 builds each; built
+  // in parallel, in 24 of 24 fresh JVMs of 40 builds at each of (8, 32),
+  // (8, 4), (6, 1) and (8, 0) on the bench database.
   private def build(): Array[Long] = {
     val b = new Octree.Partition(Model.totalPoints(db).toInt)
-    b.fill(db)
-    grow(b, root, 0, b.codes.length, 0)
+    b.fill(db, Par.chunks(b.codes.length))
+    val cut = ArrayBuffer.empty[Octree.Subtree]
+    grow(b, root, 0, b.codes.length, 0, cut)
+    growSubtrees(b, cut.sortBy(s => s.lo - s.hi))
     b.codes
+  }
+
+  /** Grow the subtrees deferred at the cut level, largest first. */
+  private def growSubtrees(b: Octree.Partition, cut: ArrayBuffer[Octree.Subtree]): Unit = {
+    val tasks = cut.toSeq.map(s => () => grow(b, s.n, s.lo, s.hi, s.k0, null))
+    Par.all(if (Par.chunks(b.codes.length) > 1) tasks else Seq(() => tasks.foreach(_())))
   }
 
   /** Give `n` the range `[lo, hi)` of the partition, which holds its points
     * in (trajectory, index) order, and split it by the build rule. `k0` is
-    * the number of its points present when it was created.
+    * the number of its points present when it was created. A node at the cut
+    * level is added to `cut` instead, unless `cut` is null.
     */
-  private def grow(b: Octree.Partition, n: OctNode, lo: Int, hi: Int, k0: Int): Unit = {
-    n.lo = lo; n.hi = hi; n.remaining = hi - lo
-    n.m = b.distinctTrajs(lo, hi)
-    if (n.level < maxDepth && hi - lo > math.max(leafCap, k0)) {
-      b.route(n.box, lo, hi)
-      val k0s = b.countCells(lo, lo + math.max(leafCap + 1, k0 + 1))
-      val sizes = b.countCells(lo, hi)
-      b.scatter(lo, hi, sizes)
-      n.children = Array.tabulate(8)(ci => new OctNode(n.level + 1, childBox(n.box, ci)))
-      growChildren(b, n, sizes, k0s)
+  private def grow(b: Octree.Partition, n: OctNode, lo: Int, hi: Int, k0: Int,
+                   cut: ArrayBuffer[Octree.Subtree]): Unit =
+    if (cut != null && n.level == cutLevel) cut += new Octree.Subtree(n, lo, hi, k0)
+    else {
+      // above the cut each pass runs in concurrent chunks; a subtree task
+      // runs them whole
+      val chunks = if (cut != null && n.level < cutLevel) Par.chunks(hi - lo) else 1
+      n.lo = lo; n.hi = hi; n.remaining = hi - lo
+      n.m = b.distinctTrajs(lo, hi, chunks)
+      if (n.level < maxDepth && hi - lo > math.max(leafCap, k0)) {
+        b.route(n.box, lo, hi, chunks)
+        val k0s = b.countCells(lo, lo + math.max(leafCap + 1, k0 + 1))
+        val sizes = b.scatter(lo, hi, chunks)
+        n.children = Array.tabulate(8)(ci => new OctNode(n.level + 1, childBox(n.box, ci)))
+        growChildren(b, n, sizes, k0s, cut)
+      }
     }
-  }
 
-  private def growChildren(b: Octree.Partition, n: OctNode, sizes: Array[Int], k0s: Array[Int]): Unit = {
+  private def growChildren(b: Octree.Partition, n: OctNode, sizes: Array[Int], k0s: Array[Int],
+                           cut: ArrayBuffer[Octree.Subtree]): Unit = {
     var at = n.lo
     var ci = 0
     while (ci < 8) {
-      grow(b, n.children(ci), at, at + sizes(ci), k0s(ci))
+      grow(b, n.children(ci), at, at + sizes(ci), k0s(ci), cut)
       at += sizes(ci)
       ci += 1
     }
@@ -222,6 +254,12 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
 }
 
 object Octree {
+  /** The level whose nodes grow their subtrees as tasks: up to 64 of them. */
+  private val cutLevel = 3
+
+  /** A node deferred at the cut level, with its build arguments. */
+  private final class Subtree(val n: OctNode, val lo: Int, val hi: Int, val k0: Int)
+
   /** The child of box `b` that holds (x, y, t): one bit per dimension, set
     * when the coordinate is at or above the box's midpoint (so a NaN
     * coordinate goes to the lower half).
@@ -234,7 +272,11 @@ object Octree {
   /** The build's working arrays: point codes and coordinates, filled in
     * (trajectory, index) order and partitioned in place node by node, plus
     * each point's child cell and a scatter buffer. Each loop is a method of
-    * its own (see `Octree.build`).
+    * its own (see `Octree.build`). A pass over a range can run in `chunks`
+    * concurrent chunks, each over its own part of every array. One chunk, as
+    * in every subtree task, calls the range loop directly: through the
+    * chunked code, with its closures, the bench build took 8.4 ms instead
+    * of 7 ms.
     */
   private final class Partition(n: Int) {
     val codes = new Array[Long](n)
@@ -247,10 +289,24 @@ object Octree {
     private val tmpYs = new Array[Double](n)
     private val tmpTs = new Array[Double](n)
 
-    def fill(db: Array[Traj]): Unit = {
-      var at = 0
+    /** Fill the arrays from `db`, trajectories in `chunks` chunks. */
+    def fill(db: Array[Traj], chunks: Int): Unit = {
+      val from = trajStarts(db)
+      Par.ranges(db.length, chunks)((a, z) => fillTrajs(db, a, z, from(a)))
+    }
+
+    /** Where each trajectory's points start. */
+    private def trajStarts(db: Array[Traj]): Array[Int] = {
+      val from = new Array[Int](db.length + 1)
       var ti = 0
-      while (ti < db.length) { at = fillTraj(db(ti), ti, at); ti += 1 }
+      while (ti < db.length) { from(ti + 1) = from(ti) + db(ti).length; ti += 1 }
+      from
+    }
+
+    private def fillTrajs(db: Array[Traj], a: Int, z: Int, from: Int): Unit = {
+      var at = from
+      var ti = a
+      while (ti < z) { at = fillTraj(db(ti), ti, at); ti += 1 }
     }
 
     private def fillTraj(tr: Traj, ti: Int, from: Int): Int = {
@@ -265,11 +321,21 @@ object Octree {
       from + pts.length
     }
 
+    /** `[lo, hi)` split into `chunks` ranges, as `Par.ranges` splits it. */
+    private def parts[A](lo: Int, hi: Int, chunks: Int)(body: (Int, Int) => A): IndexedSeq[A] =
+      Par.ranges(hi - lo, chunks)((a, z) => body(lo + a, lo + z))
+
     /** Number of distinct trajectories in `[lo, hi)`, whose codes ascend. */
-    def distinctTrajs(lo: Int, hi: Int): Int = {
+    def distinctTrajs(lo: Int, hi: Int, chunks: Int): Int =
+      if (chunks == 1) runStarts(lo, lo, hi) else parts(lo, hi, chunks)(runStarts(lo, _, _)).sum
+
+    /** Positions in `[from, to)` that start a run of one trajectory's codes
+      * in the range that begins at `lo`.
+      */
+    private def runStarts(lo: Int, from: Int, to: Int): Int = {
       var m = 0
-      var i = lo
-      while (i < hi) {
+      var i = from
+      while (i < to) {
         if (i == lo || trajOf(codes(i)) != trajOf(codes(i - 1))) m += 1
         i += 1
       }
@@ -277,7 +343,10 @@ object Octree {
     }
 
     /** Record the child cell of box `b` of every point in `[lo, hi)`. */
-    def route(b: Box, lo: Int, hi: Int): Unit = {
+    def route(b: Box, lo: Int, hi: Int, chunks: Int): Unit =
+      if (chunks == 1) routeRange(b, lo, hi) else parts(lo, hi, chunks)(routeRange(b, _, _))
+
+    private def routeRange(b: Box, lo: Int, hi: Int): Unit = {
       var i = lo
       while (i < hi) { cells(i) = cell(b, xs(i), ys(i), ts(i)).toByte; i += 1 }
     }
@@ -290,21 +359,51 @@ object Octree {
       c
     }
 
-    /** Stable partition of `[lo, hi)` by cell, cell 0 first; `sizes` are the
-      * cells' counts.
+    /** Stable partition of `[lo, hi)` by cell, cell 0 first, after `route`;
+      * returns the cells' counts. In chunks, each chunk's points of a cell
+      * go after that cell's points of every earlier chunk.
       */
-    def scatter(lo: Int, hi: Int, sizes: Array[Int]): Unit = {
-      val next = starts(lo, sizes)
+    def scatter(lo: Int, hi: Int, chunks: Int): Array[Int] =
+      if (chunks == 1) {
+        val sizes = countCells(lo, hi)
+        scatterRange(lo, hi, starts(lo, sizes))
+        copyBack(lo, hi)
+        sizes
+      } else {
+        val counted = parts(lo, hi, chunks)((from, to) => (from, to, countCells(from, to)))
+        val sizes = new Array[Int](8)
+        counted.foreach(c => addCounts(sizes, c._3))
+        val next = starts(lo, sizes)
+        val tasks = counted.map { case (from, to, counts) =>
+          val at = next.clone()
+          addCounts(next, counts)
+          () => scatterRange(from, to, at)
+        }
+        Par.all(tasks)
+        parts(lo, hi, chunks)(copyBack)
+        sizes
+      }
+
+    /** Move each point of `[lo, hi)` to `next` of its cell in the buffers. */
+    private def scatterRange(lo: Int, hi: Int, next: Array[Int]): Unit = {
       var i = lo
       while (i < hi) {
         val d = next(cells(i)); next(cells(i)) = d + 1
         tmpCodes(d) = codes(i); tmpXs(d) = xs(i); tmpYs(d) = ys(i); tmpTs(d) = ts(i)
         i += 1
       }
+    }
+
+    private def copyBack(lo: Int, hi: Int): Unit = {
       System.arraycopy(tmpCodes, lo, codes, lo, hi - lo)
       System.arraycopy(tmpXs, lo, xs, lo, hi - lo)
       System.arraycopy(tmpYs, lo, ys, lo, hi - lo)
       System.arraycopy(tmpTs, lo, ts, lo, hi - lo)
+    }
+
+    private def addCounts(to: Array[Int], counts: Array[Int]): Unit = {
+      var c = 0
+      while (c < 8) { to(c) += counts(c); c += 1 }
     }
 
     private def starts(lo: Int, sizes: Array[Int]): Array[Int] = {

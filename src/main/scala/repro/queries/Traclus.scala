@@ -1,6 +1,7 @@
 package repro.queries
 
 import scala.collection.mutable
+import repro.Par
 import repro.core.{Point, Traj}
 
 /** TRACLUS partition-and-group trajectory clustering (Lee et al., SIGMOD'07) —
@@ -188,9 +189,7 @@ object Traclus {
     val g = new SegArrays(segs)
     val n = g.n
     val grid = new SegGrid(g, eps)
-    val parts = Par.all((0 until chunks).map { c =>
-      () => rowEdges(g, grid, eps, (c.toLong * n / chunks).toInt, ((c + 1).toLong * n / chunks).toInt)
-    })
+    val parts = Par.ranges(n, chunks)(rowEdges(g, grid, eps, _, _))
     // stable counting sort of the edges by row
     val start = new Array[Int](n + 1)
     for (edges <- parts) {

@@ -373,6 +373,85 @@ class QdtsEnvSpec extends SparkSpec {
     }
   }
 
+  // --- the parallel build against the one-task build ---
+
+  /** What a build fixes, part by part: the octree's layout and remaining
+    * counts, every point's inserted flag and (v_s, v_t) bits, the query
+    * state, the avgF1 bits and every start cube's candidates.
+    */
+  private def builtState(env: QdtsEnv): Seq[(String, Any)] = {
+    val db = env.db
+    val points = for (ti <- db.indices; pi <- db(ti).points.indices) yield {
+      val (vs, vt) = env.cachedValues(ti, pi)
+      (env.isInserted(ti, pi), bits(vs), bits(vt))
+    }
+    val (gt, inBox, rsSize, matched) = env.queryState
+    Seq("flat" -> env.octree.flat.toVector, "remaining" -> nodes(env.octree).map(_.remaining),
+      "points" -> points, "gt" -> gt, "inBox" -> inBox, "rsSize" -> rsSize, "matched" -> matched,
+      "avgF1" -> bits(env.avgF1), "inserted" -> env.insertedCount,
+      "candidates" -> env.octree.frontierAtLevel(env.params.startLevel).map(c => candKey(env.candidates(c))))
+  }
+
+  private def assertSameBuild(env: QdtsEnv, expected: Seq[(String, Any)], clue: String): Unit =
+    for (((name, got), (_, want)) <- builtState(env).zip(expected)) assert(got == want, s"$clue: $name")
+
+  /** The bench database, its perfbench `dense` workload and parameters. */
+  private lazy val bench = {
+    val db = repro.exp.Experiments.benchDb()
+    val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+    (db, Workload.generate("data", db, 100, 2000.0, math.max(tmax - tmin, 1.0), 1000L))
+  }
+
+  test("an env built in parallel equals one built as a single task") {
+    val gen = TrajGen.genLocal(TrajGen.chengdu, 12, 61)
+    val nan = gen(2).copy(points = gen(2).points.zipWithIndex.map { case (p, j) =>
+      if (j % 7 == 3) p.copy(y = Double.NaN) else p })
+    val mixed = gen.updated(2, nan) :+ Traj(1000, Array(gen(0).points(0))) :+
+      Traj(1001, gen(1).points.take(2)) :+ Traj(1002, Array.empty[Point])
+    val geolife = TrajGen.genLocal(TrajGen.geolife, 20, 62)
+    def workload(db: Array[Traj]) = {
+      val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+      Workload.dataDist(db, 40, 2000, tmax - tmin, 63)
+    }
+    val cases = Seq(
+      ("bench", bench._1, bench._2, repro.exp.Experiments.benchParams),
+      ("geolife", geolife, workload(geolife), params),
+      ("short, empty and NaN trajectories", mixed, workload(gen), params))
+    for ((name, db, wl, ps) <- cases) {
+      assert(Model.totalPoints(db) >= 128, name) // split into chunks when threads allow
+      val one = builtState(repro.Par.inCaller(new QdtsEnv(db, wl, ps)))
+      assertSameBuild(new QdtsEnv(db, wl, ps), one, name)
+    }
+  }
+
+  test("bench envs built on four threads at once, and inside a Par task, equal one built alone") {
+    val (db, wl) = bench
+    val ps = repro.exp.Experiments.benchParams
+    val alone = builtState(new QdtsEnv(db, wl, ps))
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val envs = new Array[QdtsEnv](4)
+    val threads = Seq.tabulate(4)(i => new Thread(() => { start.await(); envs(i) = new QdtsEnv(db, wl, ps) }))
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    for ((env, i) <- envs.zipWithIndex) assertSameBuild(env, alone, s"thread $i")
+    // nested fork/join: a Par.all task on a pool worker, whose build forks
+    // its own tasks (a latch, as `get()` could run the task on this thread)
+    val done = new java.util.concurrent.CountDownLatch(1)
+    var nested: Either[Throwable, (Boolean, QdtsEnv)] = null
+    java.util.concurrent.ForkJoinPool.commonPool().execute(new Runnable {
+      def run(): Unit =
+        try nested = Right((Thread.currentThread.isInstanceOf[java.util.concurrent.ForkJoinWorkerThread],
+          repro.Par.all(Seq(() => new QdtsEnv(db, wl, ps))).head))
+        catch { case t: Throwable => nested = Left(t) }
+        finally done.countDown()
+    })
+    done.await()
+    val (onWorker, env) = nested.fold(throw _, identity)
+    assert(onWorker)
+    assertSameBuild(env, alone, "inside Par.all on a pool worker")
+  }
+
   test("pointValues: a point on its anchor segment has vs 0") {
     val db = Array(Traj(0, Array(
       Point(0, 0, 0), Point(5, 0, 5), Point(10, 0, 10))))

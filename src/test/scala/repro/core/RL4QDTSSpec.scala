@@ -1,13 +1,14 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropSupport, SparkSpec}
 import repro.data.TrajGen
 import repro.queries.{Quality, RangeQuery, Workload}
 
 /** End-to-end tests of the RL4QDTS algorithm (inference), its ablation
   * variants, and the Spark-distributed inference path.
   */
-class RL4QDTSSpec extends SparkSpec {
+class RL4QDTSSpec extends SparkSpec with PropSupport {
 
   private val params = QdtsParams(startLevel = 3, maxLevel = 6, k = 2, delta = 10, leafCap = 8)
   private lazy val agents = Training.makeAgents(params, seed = 5)
@@ -114,19 +115,117 @@ class RL4QDTSSpec extends SparkSpec {
     assert(hi >= lo - 0.05, s"lo=$lo hi=$hi")
   }
 
-  test("simplify returns the pinned SimpleDBs (full model and w/o Agent-Point)") {
+  /** The lines of `simplify_pins.txt`. */
+  private lazy val pins: Vector[String] = {
     val src = scala.io.Source.fromResource("repro/core/simplify_pins.txt")
-    val pins = try src.getLines().filterNot(_.startsWith("#")).toVector finally src.close()
+    try src.getLines().filterNot(_.startsWith("#")).toVector finally src.close()
+  }
+
+  /** Run the simplification a pin line names; returns (its kept indices, the pinned ones). */
+  private def runPin(line: String): (String, String) = {
+    val Array(profile, dbSeed, seed, usePoint, kept) = line.split(" ")
+    val db = TrajGen.genLocal(TrajGen.profiles(profile), if (profile == "chengdu") 10 else 8,
+      dbSeed.toLong)
+    val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+    val wl = Workload.dataDist(db, 20, 2000, tmax - tmin, dbSeed.toLong + 1)
+    val s = RL4QDTS.simplify(db, 2 * db.length + 60, wl, agents.cubeNet, agents.pointNet,
+      params, seed.toLong, RL4QDTS.Variant(usePoint = usePoint.toBoolean))
+    (db.map(tr => s.kept(tr.id).mkString(",")).mkString(";"), kept)
+  }
+
+  test("simplify returns the pinned SimpleDBs (full model and w/o Agent-Point)") {
     assert(pins.length === 8)
     for (line <- pins) {
-      val Array(profile, dbSeed, seed, usePoint, kept) = line.split(" ")
-      val db = TrajGen.genLocal(TrajGen.profiles(profile), if (profile == "chengdu") 10 else 8,
-        dbSeed.toLong)
-      val (_, _, _, _, tmin, tmax) = Model.bounds(db)
-      val wl = Workload.dataDist(db, 20, 2000, tmax - tmin, dbSeed.toLong + 1)
-      val s = RL4QDTS.simplify(db, 2 * db.length + 60, wl, agents.cubeNet, agents.pointNet,
-        params, seed.toLong, RL4QDTS.Variant(usePoint = usePoint.toBoolean))
-      assert(db.map(tr => s.kept(tr.id).mkString(",")).mkString(";") === kept, line.take(20))
+      val (got, kept) = runPin(line)
+      assert(got === kept, line.take(20))
+    }
+  }
+
+  test("simplify called from four threads at once returns the pinned SimpleDBs") {
+    assert(pins.length === 8)
+    agents // trained before the threads start
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val results = new java.util.concurrent.ConcurrentLinkedQueue[(Int, String, String, String)]
+    val threads = Seq.tabulate(4) { i =>
+      new Thread(() => {
+        start.await()
+        // each thread runs every pin, from a different first line
+        for (j <- pins.indices) {
+          val line = pins((i + j) % pins.length)
+          val (got, kept) = runPin(line)
+          results.add((i, line.take(20), got, kept))
+        }
+      })
+    }
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    assert(results.size === 4 * pins.length)
+    results.forEach { case (i, clue, got, kept) => assert(got === kept, s"thread $i $clue") }
+  }
+
+  test("degenerate inputs: exact budget, endpoints, sorted unique indices, same result twice") {
+    // trajectory shapes: 0, 1 or 2 points; identical points; equal or
+    // decreasing timestamps; NaN or infinite coordinates; or plain random
+    val shapes = Seq("empty", "one", "two", "identical", "equal t", "decreasing t", "NaN", "+inf",
+      "-inf", "random")
+    val cases = for {
+      seed <- Gen.choose(0L, Long.MaxValue)
+      kinds <- Gen.listOfN(6, Gen.oneOf(shapes)).flatMap(ks => Gen.choose(0, 6).map(ks.take))
+      budget <- Gen.oneOf("0", "2T", "N", "above N", "between")
+      nQueries <- Gen.oneOf(0, 3, 10)
+    } yield {
+      val rng = new java.util.Random(seed)
+      def coord(): Double = rng.nextInt(400).toDouble
+      val db = kinds.zipWithIndex.map { case (kind, i) =>
+        val len = kind match {
+          case "empty" => 0; case "one" => 1; case "two" => 2; case _ => 3 + rng.nextInt(80)
+        }
+        val p0 = Point(coord(), coord(), 0)
+        val pts = Array.tabulate(len) { j =>
+          val p = Point(coord(), coord(), j.toDouble)
+          kind match {
+            case "identical"    => p0
+            case "equal t"      => p.copy(t = 5)
+            case "decreasing t" => p.copy(t = -j.toDouble)
+            case "NaN"          => if (j % 3 == 1) p.copy(x = Double.NaN) else p
+            case "+inf"         => if (j % 4 == 2) p.copy(y = Double.PositiveInfinity) else p
+            case "-inf"         =>
+              if (j == len - 1) p.copy(t = Double.NegativeInfinity)
+              else if (j % 5 == 0) p.copy(x = Double.NegativeInfinity) else p
+            case _              => p
+          }
+        }
+        Traj(i.toLong, pts)
+      }.toArray
+      val wl = Array.fill(nQueries) {
+        val (x, y) = (coord(), coord())
+        Box(x, x + 100, y, y + 100, -10, 50)
+      }
+      (db, wl, budget, kinds)
+    }
+    val untrained = Training.makeAgents(params, seed = 41)
+    forAllN(cases, 150) { case (db, wl, budget, kinds) =>
+      val n = Model.totalPoints(db).toInt
+      val e = db.map(tr => math.min(tr.length, 2)).sum
+      val w = budget match {
+        case "0" => 0; case "2T" => 2 * db.length; case "N" => n; case "above N" => n + 7
+        case _ => n / 3
+      }
+      for (variant <- Seq(RL4QDTS.Variant(), RL4QDTS.Variant(useCube = false),
+                          RL4QDTS.Variant(usePoint = false), RL4QDTS.Variant(false, false))) {
+        val clue = s"$kinds w=$budget $variant"
+        def run() = RL4QDTS.simplify(db, w, wl, untrained.cubeNet, untrained.pointNet, params, 3, variant)
+        val s = run()
+        assert(s.totalPoints === math.max(e, math.min(w, n)), clue)
+        for (tr <- db) {
+          val kept = s.kept(tr.id)
+          assert(Model.endpoints(tr.length).forall(kept.contains), clue)
+          assert(kept.forall(i => i >= 0 && i < tr.length), clue)
+          assert(kept.indices.drop(1).forall(j => kept(j - 1) < kept(j)), clue)
+        }
+        assert(run().kept.view.mapValues(_.toSeq).toMap === s.kept.view.mapValues(_.toSeq).toMap, clue)
+      }
     }
   }
 

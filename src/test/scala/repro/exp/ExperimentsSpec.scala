@@ -113,7 +113,7 @@ class ExperimentsSpec extends SparkSpec {
     val thrown = new java.util.concurrent.CountDownLatch(1)
     val ran = new java.util.concurrent.atomic.AtomicInteger
     val e = intercept[IllegalStateException] {
-      repro.queries.Par.all(Seq(
+      repro.Par.all(Seq(
         () => { thrown.await(10, java.util.concurrent.TimeUnit.SECONDS); ran.incrementAndGet() },
         () => try throw boom finally thrown.countDown(),
         () => throw new IllegalArgumentException("later"),

@@ -1,7 +1,7 @@
 package repro.index
 
 import org.scalacheck.Gen
-import repro.{PropSupport, SparkSpec}
+import repro.{Par, PropSupport, SparkSpec}
 import repro.core.{Box, Point, Traj}
 import repro.data.TrajGen
 import repro.queries.RangeQuery
@@ -277,15 +277,20 @@ class OctreeSpec extends SparkSpec with PropSupport {
     rec(ot.root, ref.root, "root")
   }
 
-  /** Build both trees, give them the same queries and insertions, compare. */
+  /** Build the reference and the partition tree (through the public
+    * constructor, as one task, with no cut and at cut levels 2–4), give them
+    * the same queries and insertions, and compare each with the reference.
+    */
   private def checkAgainstReference(db: Array[Traj], maxDepth: Int, leafCap: Int,
                                     queries: Seq[Box], inserted: Seq[Point], clue: String): Unit = {
-    val ot = new Octree(db, maxDepth, leafCap)
+    val trees = Seq("default" -> new Octree(db, maxDepth, leafCap),
+      "one task" -> Par.inCaller(new Octree(db, maxDepth, leafCap))) ++
+      Seq(0, 2, 3, 4).map(cut => s"cut $cut" -> new Octree(db, maxDepth, leafCap, cut))
     val ref = new OctreeReference(db, maxDepth, leafCap)
-    assertSameTree(ot, ref, s"$clue built")
-    queries.foreach { q => ot.addQuery(q); ref.addQuery(q) }
-    inserted.foreach { p => ot.markInserted(p); ref.markInserted(p) }
-    assertSameTree(ot, ref, s"$clue used")
+    for ((name, ot) <- trees) assertSameTree(ot, ref, s"$clue $name built")
+    queries.foreach { q => ref.addQuery(q); trees.foreach(_._2.addQuery(q)) }
+    inserted.foreach { p => ref.markInserted(p); trees.foreach(_._2.markInserted(p)) }
+    for ((name, ot) <- trees) assertSameTree(ot, ref, s"$clue $name used")
   }
 
   test("the partition build equals the incremental build on the bench database") {
@@ -338,6 +343,12 @@ class OctreeSpec extends SparkSpec with PropSupport {
     val ot2 = new Octree(grows, maxDepth = 5, leafCap = 2)
     assert(!ot2.root.children(0).isLeaf && ot2.root.children(0).nPoints === 4)
     checkAgainstReference(grows, 5, 2, Nil, Nil, "one more arrives")
+  }
+
+  test("every cut level builds the incremental tree of an empty and a one-point database") {
+    for ((db, name) <- Seq(Array.empty[Traj] -> "empty", Array(Traj(0, Array(Point(1, 2, 3)))) -> "one point",
+                           Array(Traj(0, Array.empty[Point])) -> "one empty trajectory"))
+      checkAgainstReference(db, 8, 32, Seq(Box(0, 2, 1, 3, 2, 4)), db.toSeq.flatMap(_.points), name)
   }
 
   test("octree of a single-point database works") {

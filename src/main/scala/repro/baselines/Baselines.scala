@@ -14,7 +14,7 @@ object Baselines {
   /** A named database simplifier: (db, totalBudget) => SimpleDB. */
   final case class NamedMethod(name: String, simplify: (Array[Traj], Int) => SimpleDB)
 
-  /** All 24 non-RLTS+ static adaptations + Span-Search = 17 methods; RLTS+
+  /** The 16 non-RLTS+ static adaptations + Span-Search = 17 methods; RLTS+
     * adaptations require trained policies, supplied via `rlts`.
     */
   def all(rlts: Map[Measure, RltsPlus] = Map.empty): Seq[NamedMethod] = {
@@ -43,20 +43,18 @@ object Baselines {
     */
   def eBudget(r: Double, tr: Traj): Int = math.max(2, (r * tr.length).toInt)
 
-  /** Every trajectory's E budget for a total budget W, with r = W / N. */
-  def eBudgets(db: Array[Traj], totalBudget: Int): Array[Int] = {
-    val r = totalBudget.toDouble / Model.totalPoints(db)
-    db.map(eBudget(r, _))
-  }
-
-  /** The E adaptation of a per-trajectory simplifier: `one(tr, budget)` on
-    * each trajectory with its E budget.
+  /** The E adaptation of a per-trajectory simplifier at total budget W:
+    * `one(tr, budget)` on each trajectory alone with its E budget at r = W / N.
     */
   def perTrajectory(db: Array[Traj], totalBudget: Int)(one: (Traj, Int) => Array[Int]): SimpleDB =
-    SimpleDB(db.zip(eBudgets(db, totalBudget)).map { case (tr, b) => tr.id -> one(tr, b) }.toMap)
+    perTrajectoryAt(db, totalBudget.toDouble / Model.totalPoints(db))(one)
+
+  /** `perTrajectory` at compression ratio `r`: the one E loop. */
+  def perTrajectoryAt(db: Array[Traj], r: Double)(one: (Traj, Int) => Array[Int]): SimpleDB =
+    SimpleDB(db.map(tr => tr.id -> one(tr, eBudget(r, tr))).toMap)
 
   /** Train one RLTS+ policy per error measure on `trainTrajs`. */
-  def trainRlts(trainTrajs: Array[Traj], budgetFrac: Double, episodes: Int = 2): Map[Measure, RltsPlus] =
+  def trainRlts(trainTrajs: Array[Traj], budgetFrac: Double, episodes: Int): Map[Measure, RltsPlus] =
     ErrorMeasures.all.map { m =>
       val r = new RltsPlus(m, 17L + m.name.hashCode)
       r.train(trainTrajs, budgetFrac, episodes)
@@ -70,13 +68,8 @@ object Baselines {
     * Spark path, the output does not depend on any partitioning. Every
     * trajectory keeps at least its endpoints, so the total can exceed r · N by
     * them. `method` is "topdown" | "bottomup" | "spansearch" (DAD only); an
-    * unknown method or measure fails here, before planning.
-    *
-    * "bottomup" is not the catalog's Bottom-Up(E,·) on the same relation.
-    * The catalog drops the points of all trajectories from one shared heap,
-    * so a trajectory's result can depend on the other trajectories: under
-    * PED and DAD it differs on the bench database, likely where equal costs
-    * break by heap order.
+    * unknown method or measure fails here, before planning. At r = W / N
+    * each method keeps what the catalog's E adaptation of it keeps at W.
     */
   def simplifyESpark(points: DataFrame, method: String, m: Measure, r: Double): DataFrame = {
     require(r > 0 && r <= 1, s"compression ratio $r out of (0,1]")
@@ -88,8 +81,6 @@ object Baselines {
         SpanSearch.simplifyOne
       case other => throw new IllegalArgumentException(s"unknown method $other")
     }
-    Model.simplifyGroups(points, id => id) { (_, db) =>
-      SimpleDB(db.map(tr => tr.id -> one(tr, eBudget(r, tr))).toMap)
-    }
+    Model.simplifyGroups(points, id => id)((_, db) => perTrajectoryAt(db, r)(one))
   }
 }

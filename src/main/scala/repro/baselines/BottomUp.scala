@@ -1,7 +1,7 @@
 package repro.baselines
 
 import scala.collection.mutable
-import repro.core.{SimpleDB, Traj}
+import repro.core.{Model, SimpleDB, Traj}
 import repro.traj.ErrorMeasures
 import repro.traj.ErrorMeasures.Measure
 
@@ -31,23 +31,17 @@ object BottomUp {
     val next: Array[Int] = Array.tabulate(n)(i => i + 1)
     val alive: Array[Boolean] = Array.fill(n)(true)
     val stamp: Array[Int] = Array.fill(n)(0)
-    var count: Int = n
     def droppable(i: Int): Boolean = alive(i) && i > 0 && i < n - 1
   }
 
   /** Core bottom-up loop: drop the cheapest droppable point of any
-    * trajectory still above its floor, until the database holds at most
-    * `target` points or nothing is droppable.
-    *
-    * A drop needs more than `floors(i)` points in trajectory i, so no
-    * trajectory falls below min(n_i, floors(i)) points. With floors 2 and
-    * target W this is the W adaptation. With E budgets b_i, floors
-    * max(2, b_i) and target Σ min(n_i, floors(i)) (`runE`), "at most target"
-    * means every trajectory is at its budget.
+    * trajectory until the database holds at most `target` points or nothing
+    * is droppable. Only interior points are droppable, so no trajectory
+    * falls below min(n_i, 2) points. With target W this is the W adaptation;
+    * on a one-trajectory database it simplifies that trajectory alone.
     *
     * @param m      error measure
     * @param db     trajectories
-    * @param floors trajectory i loses no point once down to floors(i) points
     * @param target total point count at which dropping stops
     * @param k      number of cheapest candidates offered to the chooser
     * @param choose picks the index (0-based, into the cost-sorted candidate
@@ -56,7 +50,6 @@ object BottomUp {
   def run(
       m: Measure,
       db: Array[Traj],
-      floors: Array[Int],
       target: Long,
       k: Int = 1,
       choose: Array[Cand] => Int = _ => 0): SimpleDB = {
@@ -74,24 +67,20 @@ object BottomUp {
       if (st.droppable(i)) heap.enqueue(HeapEntry(cost(ti, i), ti, i, st.stamp(i)))
     }
 
-    def aboveFloor(ti: Int): Boolean = states(ti).count > floors(ti)
-
     // seed
-    for (ti <- db.indices if aboveFloor(ti); i <- 1 until db(ti).length - 1) push(ti, i)
+    for (ti <- db.indices; i <- 1 until db(ti).length - 1) push(ti, i)
 
-    var total = states.map(_.count.toLong).sum
+    var total = Model.totalPoints(db)
 
     while (total > target) {
       // gather up to k valid cheapest candidates, discarding stale entries
-      // and those of trajectories at their floor
       val popped = mutable.ArrayBuffer.empty[HeapEntry]
       while (popped.length < k && heap.nonEmpty) {
         val e = heap.dequeue()
         val st = states(e.trajIdx)
-        if (st.droppable(e.ptIdx) && st.stamp(e.ptIdx) == e.stamp && aboveFloor(e.trajIdx))
-          popped += e
+        if (st.droppable(e.ptIdx) && st.stamp(e.ptIdx) == e.stamp) popped += e
       }
-      // nothing droppable left: every trajectory is at its floor
+      // nothing droppable left: every trajectory is down to its endpoints
       if (popped.isEmpty) return result(db, states)
       val cands = popped.map(e => Cand(e.cost, e.trajIdx, e.ptIdx)).toArray
       val chosen = math.max(0, math.min(cands.length - 1, choose(cands)))
@@ -105,7 +94,6 @@ object BottomUp {
       val p = st.prev(i); val nx = st.next(i)
       st.alive(i) = false
       st.next(p) = nx; st.prev(nx) = p
-      st.count -= 1
       total -= 1
       // neighbours' merge costs changed: bump stamps, re-push
       if (st.droppable(p)) { st.stamp(p) += 1; push(e.trajIdx, p) }
@@ -120,25 +108,17 @@ object BottomUp {
       db(ti).id -> (0 until st.n).filter(st.alive).toArray
     }.toMap)
 
-  /** `run` in E mode: trajectory i keeps max(2, budgets(i)) points, or all
-    * of them if it has fewer.
+  /** Simplify one trajectory to max(2, `budget`) points, or all of them if
+    * it has fewer.
     */
-  def runE(m: Measure, db: Array[Traj], budgets: Array[Int], k: Int,
-           choose: Array[Cand] => Int): SimpleDB = {
-    val floors = budgets.map(math.max(2, _))
-    val target = db.indices.map(ti => math.min(db(ti).length, floors(ti)).toLong).sum
-    run(m, db, floors, target, k, choose)
-  }
-
-  /** Simplify one trajectory to `budget` points (`Baselines.simplifyESpark`'s body). */
   def simplifyOne(m: Measure, tr: Traj, budget: Int): Array[Int] =
-    runE(m, Array(tr), Array(budget), 1, _ => 0).kept(tr.id)
+    run(m, Array(tr), math.max(2, budget)).kept(tr.id)
 
-  /** E adaptation: per-trajectory budgets proportional to length. */
+  /** E adaptation: each trajectory simplified alone to its E budget. */
   def simplifyE(m: Measure, db: Array[Traj], totalBudget: Int): SimpleDB =
-    runE(m, db, Baselines.eBudgets(db, totalBudget), 1, _ => 0)
+    Baselines.perTrajectory(db, totalBudget)(simplifyOne(m, _, _))
 
   /** W adaptation: drop the globally cheapest point until the total budget. */
   def simplifyW(m: Measure, db: Array[Traj], totalBudget: Int): SimpleDB =
-    run(m, db, Array.fill(db.length)(2), totalBudget)
+    run(m, db, totalBudget)
 }

@@ -10,14 +10,15 @@ import repro.traj.ErrorMeasures.Measure
   * (normalised) merge error the drop introduces — the error measure the agent
   * is trained to minimise, as in the original (which is query-unaware).
   *
-  * One policy per error measure; the trained policy is shared between the E
-  * (per-trajectory) and W (whole-database) adaptations.
+  * One policy per error measure, trained on one trajectory at a time; the
+  * trained policy is shared between the E (each trajectory alone) and W
+  * (whole-database) adaptations.
   */
 final class RltsPlus(val measure: Measure, seed: Long = 17) {
 
   private val k = 3
 
-  val dqn = new DQN(stateDim = k, nActions = k, hidden = 25, lr = 0.005, seed = seed)
+  val dqn = new DQN(stateDim = k, nActions = k, lr = 0.005, seed = seed)
 
   /** State: the k candidate merge costs, each normalised by the current worst
     * candidate (scale-free, as the original normalises by trajectory extent).
@@ -35,13 +36,13 @@ final class RltsPlus(val measure: Measure, seed: Long = 17) {
     * bottom-up dropping to `budgetFrac` with ε-greedy choices; rewards are
     * the negative normalised merge cost of the chosen drop.
     */
-  def train(trajs: Array[Traj], budgetFrac: Double, episodes: Int = 2): Unit = {
+  def train(trajs: Array[Traj], budgetFrac: Double, episodes: Int): Unit = {
     for (_ <- 0 until episodes; tr <- trajs if tr.length > 4) {
       var pending: Option[(Array[Double], Int, Double, Array[Boolean])] = None
       // typical cost scale of this trajectory for reward normalisation
       val scale = math.max(1e-9, trajScale(tr))
-      BottomUp.runE(
-        measure, Array(tr), Array(Baselines.eBudget(budgetFrac, tr)), k,
+      BottomUp.run(
+        measure, Array(tr), Baselines.eBudget(budgetFrac, tr), k,
         choose = cands => {
           val (s, mask) = state(cands)
           // close the previous pending transition with the now-known next state
@@ -75,14 +76,17 @@ final class RltsPlus(val measure: Measure, seed: Long = 17) {
     dqn.selectAction(s, mask, explore = false)
   }
 
+  /** Simplify one trajectory to max(2, `budget`) points with the learned
+    * drop policy, as in training.
+    */
   def simplifyOne(tr: Traj, budget: Int): Array[Int] =
-    BottomUp.runE(measure, Array(tr), Array(budget), k, greedyChoose).kept(tr.id)
+    BottomUp.run(measure, Array(tr), math.max(2, budget), k, greedyChoose).kept(tr.id)
 
-  /** E adaptation: per-trajectory budgets, learned drop policy. */
+  /** E adaptation: each trajectory simplified alone to its E budget. */
   def simplifyE(db: Array[Traj], totalBudget: Int): SimpleDB =
-    BottomUp.runE(measure, db, Baselines.eBudgets(db, totalBudget), k, greedyChoose)
+    Baselines.perTrajectory(db, totalBudget)(simplifyOne)
 
   /** W adaptation: global candidate pool, learned drop policy. */
   def simplifyW(db: Array[Traj], totalBudget: Int): SimpleDB =
-    BottomUp.run(measure, db, Array.fill(db.length)(2), totalBudget, k, greedyChoose)
+    BottomUp.run(measure, db, totalBudget, k, greedyChoose)
 }

@@ -59,7 +59,7 @@ object RL4QDTS {
     * synthetic (Section IV-A).
     */
   def simplify(db: Array[Traj], totalBudget: Int, workload: Array[Box],
-               cubeNet: MLP, pointNet: MLP, params: QdtsParams = QdtsParams(),
+               cubeNet: MLP, pointNet: MLP, params: QdtsParams,
                seed: Long = 0, variant: Variant = Variant()): SimpleDB =
     simplify(new QdtsEnv(db, workload, params), totalBudget, cubeNet, pointNet, seed, variant)
 

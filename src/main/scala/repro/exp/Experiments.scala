@@ -96,6 +96,13 @@ object Experiments {
                         nRange: Int = 100, nKnn: Int = 8, nSim: Int = 10,
                         clusterTrajs: Int = 150) {
 
+    // queries are drawn from `db`, and a query's own window runs from its
+    // first to its last t
+    require(db.nonEmpty, "the evaluator needs at least one trajectory")
+    for (tr <- db; i <- 1 until tr.length if !(tr.points(i).t >= tr.points(i - 1).t))
+      throw new IllegalArgumentException(
+        s"trajectory ${tr.id}: t falls at index $i (${tr.points(i - 1).t} then ${tr.points(i).t})")
+
     private val (xmin, xmax, ymin, ymax, tmin, tmax) = Model.bounds(db)
     private val span = math.max(tmax - tmin, 1.0)
 

@@ -1,28 +1,28 @@
 package repro.rl
 
 /** Deep Q-Network with replay memory, target network, ε-greedy exploration and
-  * action masking — Section IV-C. Hyper-parameters default to the paper's
-  * settings (25 hidden units, γ=0.99, lr=0.01, ε decaying to 0.1 by 0.99,
-  * replay capacity 2000).
+  * action masking — Section IV-C. The nets' 25 hidden units and the replay
+  * capacity of 2000 are the paper's; the other hyper-parameters default to
+  * its settings (γ=0.99, lr=0.01, ε decaying to 0.1 by 0.99).
   */
 final class DQN(
     val stateDim: Int,
     val nActions: Int,
-    hidden: Int = 25,
     val gamma: Double = 0.99,
     val lr: Double = 0.01,
-    memCapacity: Int = 2000,
     val batchSize: Int = 32,
     val targetSyncEvery: Int = 100,
     val epsMin: Double = 0.1,
     val epsDecay: Double = 0.99,
     seed: Long = 13) extends Serializable {
 
-  val online: MLP = new MLP(stateDim, hidden, nActions, seed)
-  val target: MLP = new MLP(stateDim, hidden, nActions, seed + 1)
+  import DQN.{Hidden, MemCapacity}
+
+  val online: MLP = new MLP(stateDim, Hidden, nActions, seed)
+  val target: MLP = new MLP(stateDim, Hidden, nActions, seed + 1)
   target.copyFrom(online)
 
-  val memory = new ReplayMemory(memCapacity, seed + 2)
+  val memory = new ReplayMemory(MemCapacity, seed + 2)
   private val rng = new java.util.Random(seed + 3)
   var epsilon: Double = 1.0
   private var steps = 0
@@ -33,7 +33,7 @@ final class DQN(
   private val states = new Array[Array[Double]](batchSize)
   private val actions = new Array[Int](batchSize)
   private val targets = new Array[Double](batchSize)
-  private val hNext = new Array[Double](hidden)
+  private val hNext = new Array[Double](Hidden)
   private val qOnline = new Array[Double](nActions)
   private val qTarget = new Array[Double](nActions)
 
@@ -88,6 +88,12 @@ final class DQN(
 }
 
 object DQN {
+
+  /** Hidden units of both nets. */
+  val Hidden = 25
+
+  /** Replay memory capacity. */
+  val MemCapacity = 2000
 
   /** The valid action with the largest Q-value, or -1 if no action is
     * valid. Ties go to the first maximum in index order under

@@ -111,22 +111,41 @@ class BaselinesSpec extends SparkSpec with PropSupport {
     }
   }
 
+  /** The pin DBs, 8 Chengdu-like and 4 Geolife-like trajectories, each with
+    * its catalog and its own RLTS+ policies.
+    */
+  private lazy val pinDbs = Seq(("chengdu", 31L, 8), ("geolife", 21L, 4)).map { case (p, seed, nT) =>
+    val pdb = TrajGen.genLocal(TrajGen.profiles(p), nT, seed)
+    (p, seed) -> (pdb, Baselines.all(Baselines.trainRlts(pdb.take(2), 0.4, episodes = 1)))
+  }.toMap
+
   test("every catalog method returns the pinned SimpleDBs") {
     val src = scala.io.Source.fromResource("repro/baselines/baseline_pins.txt")
     val pins = try src.getLines().filterNot(_.startsWith("#")).toVector finally src.close()
     assert(pins.length === 100)
-    // 8 Chengdu-like and 4 Geolife-like trajectories, each DB with its own RLTS+ policies
-    val dbs = Seq(("chengdu", 31L, 8), ("geolife", 21L, 4)).map { case (p, seed, nT) =>
-      (p, seed) -> TrajGen.genLocal(TrajGen.profiles(p), nT, seed)
-    }.toMap
-    val catalogs = dbs.map { case (key, pdb) =>
-      key -> Baselines.all(Baselines.trainRlts(pdb.take(2), 0.4, episodes = 1))
-    }
     for (line <- pins) {
       val Array(profile, dbSeed, w, name, kept) = line.split(" ")
-      val key = (profile, dbSeed.toLong)
-      val s = catalogs(key).find(_.name == name).get.simplify(dbs(key), w.toInt)
-      assert(dbs(key).map(tr => s.kept(tr.id).mkString(",")).mkString(";") === kept, line.take(40))
+      val (pdb, catalog) = pinDbs((profile, dbSeed.toLong))
+      val s = catalog.find(_.name == name).get.simplify(pdb, w.toInt)
+      assert(pdb.map(tr => s.kept(tr.id).mkString(",")).mkString(";") === kept, line.take(40))
+    }
+  }
+
+  test("every E method simplifies each trajectory alone: a DB and its copy at 2W keep what the DB keeps at W") {
+    for (((profile, _), (pdb, catalog)) <- pinDbs) {
+      val n = Model.totalPoints(pdb)
+      val copies = pdb.map(tr => Traj(tr.id + 1000, tr.points))
+      for (frac <- Seq(0.02, 0.1, 0.3); m <- catalog if m.name.contains("(E,")) {
+        val w = (frac * n).toInt
+        assert((2 * w).toDouble / (2 * n) === w.toDouble / n) // the same r, bit for bit
+        val once = m.simplify(pdb, w)
+        val twice = m.simplify(pdb ++ copies, 2 * w)
+        for ((tr, copy) <- pdb.zip(copies)) {
+          val clue = s"${m.name} $profile W=$w traj ${tr.id}"
+          assert(twice.kept(tr.id).toSeq === once.kept(tr.id).toSeq, clue)
+          assert(twice.kept(copy.id).toSeq === once.kept(tr.id).toSeq, clue)
+        }
+      }
     }
   }
 
@@ -151,6 +170,24 @@ class BaselinesSpec extends SparkSpec with PropSupport {
       .map(r => r.getLong(0) -> r.getLong(1)).toMap
     for (tr <- db)
       assert(counts(tr.id) === math.max(2, (0.2 * tr.length).toInt).toLong)
+  }
+
+  test("simplifyESpark at r = W / N equals the catalog's E adaptation at W") {
+    val df = Model.toDF(spark, db.toSeq).cache()
+    val n = Model.totalPoints(db)
+    val catalog = Baselines.all()
+    for (frac <- Seq(0.1, 0.3); (method, adapt, m) <- ErrorMeasures.all.flatMap(m =>
+           Seq(("topdown", "Top-Down", m), ("bottomup", "Bottom-Up", m))) :+
+           (("spansearch", "Span-Search", ErrorMeasures.DAD))) {
+      val w = (frac * n).toInt
+      val name = s"$adapt(E,${m.name}) at W=$w"
+      val local = catalog.find(_.name == s"$adapt(E,${m.name})").get.simplify(db, w)
+      val viaSpark = Baselines.simplifyESpark(df, method, m, w.toDouble / n)
+        .select("traj_id", "idx").collect()
+        .groupBy(_.getLong(0)).map { case (id, rs) => id -> rs.map(_.getInt(1)).sorted.toSeq }
+      assert(viaSpark === local.kept.map { case (id, kept) => id -> kept.toSeq }, name)
+    }
+    df.unpersist()
   }
 
   test("simplifyESpark(spansearch) requires DAD") {

@@ -78,7 +78,7 @@ class BottomUpSpec extends SparkSpec {
     val tr = zigzag(30)
     var sawSorted = true
     var sawK = 0
-    BottomUp.run(SED, Array(tr), Array(5), 5, k = 3, choose = { cands =>
+    BottomUp.run(SED, Array(tr), 5, k = 3, choose = { cands =>
       sawK = math.max(sawK, cands.length)
       if (cands.length > 1)
         sawSorted &&= cands.iterator.sliding(2).forall(w => w.head.cost <= w(1).cost + 1e-12)
@@ -90,7 +90,7 @@ class BottomUpSpec extends SparkSpec {
 
   test("a chooser picking the worst candidate still satisfies the budget") {
     val tr = zigzag(30)
-    val s = BottomUp.run(SED, Array(tr), Array(8), 8, k = 3, choose = c => c.length - 1)
+    val s = BottomUp.run(SED, Array(tr), 8, k = 3, choose = c => c.length - 1)
     assert(s.kept(0L).length === 8)
   }
 

@@ -1,16 +1,17 @@
 package repro.exp
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropSupport, SparkSpec}
 import repro.core.ModelTestOps.firstLast
 import repro.baselines.TopDown
-import repro.core.{Model, SimpleDB, Traj}
+import repro.core.{Model, Point, SimpleDB, Traj}
 import repro.data.TrajGen
 import repro.traj.ErrorMeasures
 
 /** Tests of the shared experiment harness (evaluator, adaptive parameters,
   * table rendering) that the bench suites build on.
   */
-class ExperimentsSpec extends SparkSpec {
+class ExperimentsSpec extends SparkSpec with PropSupport {
 
   // small but non-trivial database in the bench profile family
   private lazy val db = TrajGen.genLocal(Experiments.benchProfile.copy(avgLen = 150), 20, 9)
@@ -141,6 +142,78 @@ class ExperimentsSpec extends SparkSpec {
         for (v <- Seq(f.range, f.knnEdr, f.knnEmbed, f.similarity, f.clustering))
           assert(v >= 0.0 && v <= 1.0, s"seed=$seed ${f.fmt}")
       }
+    }
+  }
+
+  test("degenerate inputs: every F1 in [0, 1] and the same bits from a second evaluate") {
+    // trajectory shapes: 1 or 2 points; one point repeated; equal t; on the
+    // line y = x / 2; at (1000, 1000) throughout; NaN or infinite x or y; or
+    // plain random. A DB of one shape only is collinear or has zero extent.
+    val shapes = Seq("one", "two", "identical", "equal t", "collinear", "zero extent", "NaN", "+inf",
+      "-inf", "random")
+    val cases = for {
+      seed <- Gen.choose(0L, Long.MaxValue)
+      kinds <- Gen.choose(1, 5).flatMap(Gen.listOfN(_, Gen.oneOf(shapes)))
+      workload <- Gen.oneOf("data", "gaussian")
+    } yield {
+      val rng = new java.util.Random(seed)
+      def coord(): Double = rng.nextInt(4000).toDouble
+      val db = kinds.zipWithIndex.map { case (kind, i) =>
+        val len = kind match { case "one" => 1; case "two" => 2; case _ => 3 + rng.nextInt(40) }
+        val p0 = Point(coord(), coord(), 0)
+        val pts = Array.tabulate(len) { j =>
+          val p = Point(coord(), coord(), j.toDouble)
+          kind match {
+            case "identical"   => p0
+            case "equal t"     => p.copy(t = 5)
+            case "collinear"   => Point(p0.x + 10 * j, (p0.x + 10 * j) / 2, j)
+            case "zero extent" => Point(1000, 1000, j)
+            case "NaN"         => if (j % 3 == 1) p.copy(x = Double.NaN) else p
+            case "+inf"        => if (j % 4 == 2) p.copy(y = Double.PositiveInfinity) else p
+            case "-inf"        => if (j % 5 == 0) p.copy(x = Double.NegativeInfinity) else p
+            case _             => p
+          }
+        }
+        Traj(i.toLong, pts)
+      }.toArray
+      (db, workload, kinds)
+    }
+    forAllN(cases, 60) { case (db, workload, kinds) =>
+      val ev = new Experiments.Evaluator(db, workload, nRange = 10, nKnn = 2, nSim = 2, clusterTrajs = 10)
+      val identity = SimpleDB(db.map(t => t.id -> Array.range(0, t.length)).toMap)
+      val everyOther = SimpleDB(db.map(t =>
+        t.id -> Array.range(0, t.length).filter(i => i % 2 == 0 || i == t.length - 1)).toMap)
+      for ((name, s) <- Seq("identity" -> identity, "endpoints" -> firstLast(db), "every other" -> everyOther)) {
+        val clue = s"$kinds $workload $name"
+        val f = ev.evaluate(s)
+        for (v <- Seq(f.range, f.knnEdr, f.knnEmbed, f.similarity, f.clustering))
+          assert(v >= 0.0 && v <= 1.0, s"$clue ${f.fmt}")
+        assert(f1Bits(ev.evaluate(s)) === f1Bits(f), clue)
+      }
+    }
+  }
+
+  test("the evaluator rejects an empty DB and a falling t, naming the trajectory") {
+    val empty = intercept[IllegalArgumentException](new Experiments.Evaluator(Array.empty, "data"))
+    assert(empty.getMessage.contains("at least one trajectory"))
+    // trajectory `bad` has t falling at index `at`, or at every index
+    val cases = for {
+      lens <- Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.choose(2, 30)))
+      bad <- Gen.choose(0, lens.length - 1)
+      at <- Gen.choose(1, lens(bad) - 1)
+      everywhere <- Gen.oneOf(false, true)
+    } yield {
+      val db = lens.zipWithIndex.map { case (len, i) =>
+        Traj(100L + i, Array.tabulate(len) { j =>
+          val t = if (i != bad) j else if (everywhere) -j else if (j == at) at - 1.5 else j
+          Point(10 * j, 20 * i, t)
+        })
+      }.toArray
+      (db, bad, if (everywhere) 1 else at)
+    }
+    forAllN(cases, 40) { case (db, bad, at) =>
+      val e = intercept[IllegalArgumentException](new Experiments.Evaluator(db, "data"))
+      assert(e.getMessage.startsWith(s"trajectory ${100 + bad}: t falls at index $at "), e.getMessage)
     }
   }
 

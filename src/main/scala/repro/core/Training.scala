@@ -2,6 +2,7 @@ package repro.core
 
 import java.util.concurrent.{Callable, ExecutionException, ExecutorService, Executors, Future}
 import scala.collection.mutable
+import repro.Par
 import repro.data.TrajGen
 import repro.queries.Workload
 import repro.rl.{DQN, MLP, NetWeights, Transition}
@@ -67,14 +68,16 @@ object Training {
   /** Train both agents; returns them (the caller snapshots `cubeNet`/`pointNet`
     * for inference).
     *
-    * The main thread runs only the episodes. One worker thread, created per
-    * call, takes the work no later step of the main thread waits on: it
-    * builds database i+1's env while the main thread trains on database i,
-    * and it validates each episode's snapshot of both nets. It runs its tasks
-    * in submission order, so the best model is chosen in episode order, as
-    * if every validation ran right after its episode. `train` returns once
-    * the worker has finished, and rethrows the exception of a failed worker
-    * task.
+    * The main thread runs the episodes. In each reward window the two
+    * agents' learning steps run as two `Par` tasks; both finish before the
+    * next window acts, so the nets are those of running them in turn. One
+    * worker thread, created per call, takes the work no later step of the
+    * main thread waits on: it builds database i+1's env while the main
+    * thread trains on database i, and it validates each episode's snapshot
+    * of both nets. It runs its tasks in submission order, so the best model
+    * is chosen in episode order, as if every validation ran right after its
+    * episode. `train` returns once the worker has finished, and rethrows the
+    * exception of a failed worker task.
     */
   def train(cfg: TrainConfig): TrainedAgents = {
     var workerThread: Thread = null
@@ -168,11 +171,13 @@ object Training {
 
         def flushWindow(): Unit = {
           // take learning steps on the replay memories — the paper's Δ-cadence
-          // of "perform the queries, acquire rewards"
-          var i = 0
-          while (i < cfg.trainStepsPerWindow) {
-            agents.cube.trainStep(); agents.point.trainStep(); i += 1
-          }
+          // of "perform the queries, acquire rewards"; the two learners share
+          // no state, so they learn as two tasks, the longer cube one first,
+          // both finished before the next window acts
+          Par.all(Seq(agents.cube, agents.point).map(dqn => () => {
+            var i = 0
+            while (i < cfg.trainStepsPerWindow) { dqn.trainStep(); i += 1 }
+          }))
           // ε decays per reward window (the paper's 0.99 decay is per update,
           // not per episode — episodes here are far shorter than the paper's)
           agents.cube.decayEpsilon()

@@ -28,14 +28,15 @@ final class DQN(
   private var steps = 0
 
   // buffers of `trainStep`: the sampled batch, its regression inputs, and
-  // the next-state forward passes of both nets
+  // its non-terminal transitions' next states with their batch slots
   private val batch = new Array[Transition](batchSize)
   private val states = new Array[Array[Double]](batchSize)
   private val actions = new Array[Int](batchSize)
   private val targets = new Array[Double](batchSize)
-  private val hNext = new Array[Double](Hidden)
-  private val qOnline = new Array[Double](nActions)
-  private val qTarget = new Array[Double](nActions)
+  private val nexts = new Array[Array[Double]](batchSize)
+  private val slots = new Array[Int](batchSize)
+  private val aStars = new Array[Int](batchSize)
+  private val q = new Array[Double](nActions)
 
   /** Greedy action among valid ones; ε-greedy when `explore`. `mask(a)` marks
     * valid actions; at least one action must be valid.
@@ -58,22 +59,39 @@ final class DQN(
     * Bellman target (action argmax from the online net, value from the target
     * net — the plain max target overestimates badly with sparse rewards and
     * masked action sets), periodically sync the target network. Returns the
-    * batch loss (0 when memory is smaller than the batch). Allocates nothing.
+    * batch loss (0 when memory is smaller than the batch). Both nets' passes
+    * run over the whole batch at once (`MLP.forwardBatch`), with the bits of
+    * the per-sample passes. Allocates nothing.
     */
   def trainStep(): Double = {
     if (memory.size < batchSize) return 0.0
     memory.sampleInto(batch)
+    var n = 0 // non-terminal transitions
     var b = 0
     while (b < batchSize) {
       val t = batch(b)
       states(b) = t.state
       actions(b) = t.action
-      val aStar =
-        if (t.done) -1 else DQN.maskedArgmax(online.forwardInto(t.nextState, hNext, qOnline), t.nextMask)
-      targets(b) =
-        if (aStar < 0) t.reward
-        else t.reward + gamma * target.forwardInto(t.nextState, hNext, qTarget)(aStar)
+      targets(b) = t.reward
+      if (!t.done) { nexts(n) = t.nextState; slots(n) = b; n += 1 }
       b += 1
+    }
+    if (n > 0) {
+      val qOnline = online.forwardBatch(nexts, n)
+      var l = 0
+      while (l < n) {
+        var a = 0
+        while (a < nActions) { q(a) = qOnline(a)(l); a += 1 }
+        aStars(l) = DQN.maskedArgmax(q, batch(slots(l)).nextMask)
+        l += 1
+      }
+      val qTarget = target.forwardBatch(nexts, n)
+      l = 0
+      while (l < n) {
+        val aStar = aStars(l)
+        if (aStar >= 0) targets(slots(l)) = batch(slots(l)).reward + gamma * qTarget(aStar)(l)
+        l += 1
+      }
     }
     val loss = online.trainBatch(states, actions, targets, lr)
     steps += 1

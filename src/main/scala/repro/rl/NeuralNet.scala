@@ -36,7 +36,11 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
   // buffers of the training kernel, reused by every `trainBatch` call
   private val gW1 = Array.ofDim[Double](hidden, inDim); private val gB1 = new Array[Double](hidden)
   private val gW2 = Array.ofDim[Double](outDim, hidden); private val gB2 = new Array[Double](outDim)
-  private val hBuf = new Array[Double](hidden); private val dh = new Array[Double](hidden)
+  private val dh = new Array[Double](hidden)
+  // lanes of `forwardBatch` (`xT(i)(b)` is input i of sample b), grown to
+  // the largest batch seen
+  private var xT = Array.ofDim[Double](inDim, 0); private var hT = Array.ofDim[Double](hidden, 0)
+  private var qT = Array.ofDim[Double](outDim, 0)
 
   /** Hidden activations for input x, written to `h`; returns `h`. */
   private[rl] def hiddenInto(x: Array[Double], h: Array[Double]): Array[Double] = {
@@ -53,14 +57,9 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
   }
 
   /** Q-values for input x. */
-  def forward(x: Array[Double]): Array[Double] =
-    forwardInto(x, new Array[Double](hidden), new Array[Double](outDim))
-
-  /** Q-values for input x, written to `out` with `h` holding the hidden
-    * activations; returns `out`. Callers sharing buffers must not overlap.
-    */
-  private[rl] def forwardInto(x: Array[Double], h: Array[Double], out: Array[Double]): Array[Double] = {
-    hiddenInto(x, h)
+  def forward(x: Array[Double]): Array[Double] = {
+    val h = hiddenInto(x, new Array[Double](hidden))
+    val out = new Array[Double](outDim)
     var k = 0
     while (k < outDim) {
       var s = b2(k); val w = w2(k)
@@ -72,15 +71,67 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
     out
   }
 
+  /** Q-values of the samples `xs(0 until n)`, transposed: `qT(k)(b)` is
+    * Q-value k of sample b, in a buffer of this net that its next batch call
+    * overwrites. The batch index is the innermost loop, and each sample's
+    * sums add their terms in the order `forward` does, so they have its
+    * bits. Allocates nothing once it has seen a batch of this size.
+    */
+  private[rl] def forwardBatch(xs: Array[Array[Double]], n: Int): Array[Array[Double]] = {
+    if (hT(0).length < n) {
+      xT = Array.ofDim[Double](inDim, n); hT = Array.ofDim[Double](hidden, n); qT = Array.ofDim[Double](outDim, n)
+    }
+    var b = 0
+    while (b < n) {
+      val x = xs(b)
+      require(x.length == inDim, s"input dim ${x.length} != $inDim")
+      var i = 0
+      while (i < inDim) { xT(i)(b) = x(i); i += 1 }
+      b += 1
+    }
+    var j = 0
+    while (j < hidden) {
+      val h = hT(j); val w = w1(j)
+      java.util.Arrays.fill(h, 0, n, b1(j))
+      var i = 0
+      while (i < inDim) {
+        val wi = w(i); val x = xT(i)
+        b = 0
+        while (b < n) { h(b) += wi * x(b); b += 1 }
+        i += 1
+      }
+      b = 0
+      while (b < n) { h(b) = FdLibm.tanh(h(b)); b += 1 }
+      j += 1
+    }
+    var k = 0
+    while (k < outDim) {
+      val q = qT(k); val w = w2(k)
+      java.util.Arrays.fill(q, 0, n, b2(k))
+      j = 0
+      while (j < hidden) {
+        val wj = w(j); val h = hT(j)
+        b = 0
+        while (b < n) { q(b) += wj * h(b); b += 1 }
+        j += 1
+      }
+      k += 1
+    }
+    qT
+  }
+
   /** One Adam step on a batch of (state `xs(b)`, action `as(b)`, tdTarget
     * `ys(b)`): minimises mean (Q(s)(a) - target)^2. Returns the batch loss.
-    * The batch must not be empty. Allocates nothing.
+    * The forward pass runs batch-innermost (`forwardBatch`); the gradients
+    * are summed sample by sample in batch order. The batch must not be
+    * empty. Allocates nothing once it has seen a batch of this size.
     */
   private[rl] def trainBatch(xs: Array[Array[Double]], as: Array[Int], ys: Array[Double],
                              lr: Double): Double = {
     val n = xs.length
     // an empty batch has no gradient, but Adam's momentum would still move every weight
     require(n > 0, "empty training batch")
+    val qT = forwardBatch(xs, n)
     var j = 0
     while (j < hidden) { java.util.Arrays.fill(gW1(j), 0.0); j += 1 }
     java.util.Arrays.fill(gB1, 0.0)
@@ -92,18 +143,15 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
     var b = 0
     while (b < n) {
       val x = xs(b); val a = as(b)
-      val h = hiddenInto(x, hBuf)
-      var qa = b2(a)
-      j = 0
-      while (j < hidden) { qa += w2(a)(j) * h(j); j += 1 }
-      val err = qa - ys(b)
+      val err = qT(a)(b) - ys(b)
       loss += err * err / bs
       val dq = 2.0 * err / bs
       // output layer grads + backprop into hidden
       j = 0
       while (j < hidden) {
-        gW2(a)(j) += dq * h(j)
-        dh(j) = dq * w2(a)(j) * (1 - h(j) * h(j)) // tanh'
+        val h = hT(j)(b)
+        gW2(a)(j) += dq * h
+        dh(j) = dq * w2(a)(j) * (1 - h * h) // tanh'
         j += 1
       }
       gB2(a) += dq
@@ -120,6 +168,13 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
       }
       b += 1
     }
+    adamStep(gW1, gB1, gW2, gB2, lr)
+    loss
+  }
+
+  /** Apply the gradients `(gW1, gB1, gW2, gB2)` by one Adam step. */
+  private[rl] def adamStep(gW1: Array[Array[Double]], gB1: Array[Double],
+                           gW2: Array[Array[Double]], gB2: Array[Double], lr: Double): Unit = {
     adamT += 1
     val bc1 = 1 - math.pow(beta1, adamT); val bc2 = 1 - math.pow(beta2, adamT)
     @inline def upd(p: Array[Double], g: Array[Double], m: Array[Double], v: Array[Double]): Unit = {
@@ -131,13 +186,12 @@ final class MLP(val inDim: Int, val hidden: Int, val outDim: Int, seed: Long = 7
         i += 1
       }
     }
-    j = 0
+    var j = 0
     while (j < hidden) { upd(w1(j), gW1(j), mW1(j), vW1(j)); j += 1 }
     upd(b1, gB1, mB1, vB1)
-    k = 0
+    var k = 0
     while (k < outDim) { upd(w2(k), gW2(k), mW2(k), vW2(k)); k += 1 }
     upd(b2, gB2, mB2, vB2)
-    loss
   }
 
   /** Copy weights from another network (target-network sync). */

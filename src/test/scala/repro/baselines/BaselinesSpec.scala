@@ -120,7 +120,7 @@ class BaselinesSpec extends SparkSpec with PropSupport {
   }.toMap
 
   test("every catalog method returns the pinned SimpleDBs") {
-    val src = scala.io.Source.fromResource("repro/baselines/baseline_pins.txt")
+    val src = scala.io.Source.fromResource("repro/baselines/baseline_pins.txt")(scala.io.Codec.UTF8)
     val pins = try src.getLines().filterNot(_.startsWith("#")).toVector finally src.close()
     assert(pins.length === 100)
     for (line <- pins) {

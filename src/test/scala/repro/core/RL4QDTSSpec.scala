@@ -117,7 +117,7 @@ class RL4QDTSSpec extends SparkSpec with PropSupport {
 
   /** The lines of `simplify_pins.txt`. */
   private lazy val pins: Vector[String] = {
-    val src = scala.io.Source.fromResource("repro/core/simplify_pins.txt")
+    val src = scala.io.Source.fromResource("repro/core/simplify_pins.txt")(scala.io.Codec.UTF8)
     try src.getLines().filterNot(_.startsWith("#")).toVector finally src.close()
   }
 

@@ -85,6 +85,18 @@ class TrainingSpec extends SparkSpec {
       Seq(-4636423117279279635L, -4637293869723239605L))
   }
 
+  test("training with both learners on the caller gives the bits of the default run") {
+    def bits(xs: Array[Double]) = xs.map(java.lang.Double.doubleToLongBits).toSeq
+    def netBits(w: repro.rl.NetWeights) = bits(w.w1.flatten ++ w.b1 ++ w.w2.flatten ++ w.b2)
+    // inside `inCaller` the window's two learner tasks run in turn on this thread
+    val one = repro.Par.inCaller(Training.train(cfg))
+    assert(netBits(one.cube.online.snapshot) === netBits(trained.cube.online.snapshot))
+    assert(netBits(one.point.online.snapshot) === netBits(trained.point.online.snapshot))
+    assert(netBits(one.bestCube.get) === netBits(trained.bestCube.get))
+    assert(netBits(one.bestPoint.get) === netBits(trained.bestPoint.get))
+    assert(bits(one.valF1s.toArray) === bits(trained.valF1s.toArray))
+  }
+
   private def workerAlive: Boolean =
     Thread.getAllStackTraces.keySet.toArray(Array.empty[Thread]).exists(t =>
       t.getName == "training-worker" && t.isAlive)

@@ -60,7 +60,7 @@ class ExperimentsSpec extends SparkSpec with PropSupport {
     * with the raw bits (hex) of its five F1s.
     */
   private lazy val pinned = {
-    val src = scala.io.Source.fromResource("repro/exp/evaluate_pins.txt")
+    val src = scala.io.Source.fromResource("repro/exp/evaluate_pins.txt")(scala.io.Codec.UTF8)
     val pins = try src.getLines().filterNot(_.startsWith("#")).toVector finally src.close()
     assert(pins.length === 4)
     val bench = Experiments.benchDb(nTrajs = 30)

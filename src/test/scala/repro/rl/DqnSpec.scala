@@ -1,10 +1,11 @@
 package repro.rl
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropSupport, SparkSpec}
 import repro.rl.RlTestOps._
 
 /** Tests of the replay memory and the DQN learner. */
-class DqnSpec extends SparkSpec {
+class DqnSpec extends SparkSpec with PropSupport {
 
   private def tr(r: Double, done: Boolean = true): Transition =
     Transition(Array(0.0), 0, r, Array(0.0), Array(true), done)
@@ -142,9 +143,10 @@ class DqnSpec extends SparkSpec {
     }
   }
 
-  /** `trainStep` as written before it reused its batch buffers: the
-    * reference the allocation-free step is checked against. `step` is the
-    * 1-based count of learning steps taken, for the target sync.
+  /** `trainStep` as written before it reused its batch buffers, on the
+    * per-sample kernel `ReferenceMLP`: the reference the batch-innermost
+    * step is checked against. `step` is the 1-based count of learning steps
+    * taken, for the target sync.
     */
   private def referenceTrainStep(d: DQN, step: Int): Double = {
     val batch = d.memory.sample(d.batchSize).map { t =>
@@ -161,32 +163,101 @@ class DqnSpec extends SparkSpec {
         }
       (t.state, t.action, tgt)
     }
-    val loss = d.online.trainBatch(batch, d.lr)
+    val (xs, as, ys) = batch.unzip3
+    val loss = ReferenceMLP.trainBatch(d.online, xs.toArray, as.toArray, ys.toArray, d.lr)
     if (step % d.targetSyncEvery == 0) d.target.copyFrom(d.online)
     loss
   }
 
-  test("trainStep equals the reference step bit for bit") {
-    def bits(w: NetWeights): Seq[Long] =
-      (w.w1.flatten ++ w.b1 ++ w.w2.flatten ++ w.b2).map(java.lang.Double.doubleToLongBits).toSeq
-    val a = new DQN(3, 4, batchSize = 8, targetSyncEvery = 5, seed = 73)
-    val b = new DQN(3, 4, batchSize = 8, targetSyncEvery = 5, seed = 73)
-    val rng = new java.util.Random(79)
-    def vec() = Array.fill(3)(rng.nextGaussian())
+  private def bits(w: NetWeights): Seq[Long] =
+    (w.w1.flatten ++ w.b1 ++ w.w2.flatten ++ w.b2).map(java.lang.Double.doubleToLongBits).toSeq
+
+  /** Feed `ts` to two DQNs built by `make`, taking a learning step on both
+    * after each transition, one by `trainStep` and one by the reference, and
+    * assert equal loss, online and target bits at every step.
+    */
+  private def assertStepsMatch(make: () => DQN, ts: Seq[Transition], clue: String): Unit = {
+    val a = make(); val b = make()
     var step = 0
-    for (i <- 0 until 60) {
-      // mixed terminal / bootstrap transitions with partial (sometimes empty) next masks
-      val t = Transition(vec(), rng.nextInt(4), rng.nextGaussian(), vec(),
-        Array.fill(4)(rng.nextInt(3) == 0), done = rng.nextInt(3) == 0)
+    for (t <- ts) {
       a.remember(t); b.remember(t)
-      if (i >= 7) {
+      if (b.memory.size >= b.batchSize) {
         step += 1
         val la = a.trainStep()
         val lb = referenceTrainStep(b, step)
-        assert(java.lang.Double.doubleToLongBits(la) === java.lang.Double.doubleToLongBits(lb), s"step $step")
-        assert(bits(a.online.snapshot) === bits(b.online.snapshot), s"online, step $step")
-        assert(bits(a.target.snapshot) === bits(b.target.snapshot), s"target, step $step")
+        assert(java.lang.Double.doubleToLongBits(la) === java.lang.Double.doubleToLongBits(lb),
+          s"loss, step $step, $clue")
+        assert(bits(a.online.snapshot) === bits(b.online.snapshot), s"online, step $step, $clue")
+        assert(bits(a.target.snapshot) === bits(b.target.snapshot), s"target, step $step, $clue")
+      } else assert(a.trainStep() === 0.0)
+    }
+  }
+
+  test("trainStep equals the reference step bit for bit") {
+    val rng = new java.util.Random(79)
+    def vec() = Array.fill(3)(rng.nextGaussian())
+    // mixed terminal / bootstrap transitions with partial (sometimes empty) next masks
+    val ts = Seq.fill(60)(Transition(vec(), rng.nextInt(4), rng.nextGaussian(), vec(),
+      Array.fill(4)(rng.nextInt(3) == 0), done = rng.nextInt(3) == 0))
+    assertStepsMatch(() => new DQN(3, 4, batchSize = 8, targetSyncEvery = 5, seed = 73), ts, "")
+  }
+
+  test("property: trainStep equals the reference step at every step, for any batch") {
+    // special values: NaN, the infinities and -0.0 in states, next states and rewards
+    val special = Array(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -0.0)
+    val gen = for {
+      batchSize <- Gen.oneOf(1, 2, 31, 32, 33)
+      stateDim <- Gen.choose(1, 6)
+      nActions <- Gen.choose(1, 5)
+      terminal <- Gen.oneOf("all", "none", "mixed")
+      masks <- Gen.oneOf("empty", "full", "mixed")
+      specialRate <- Gen.oneOf(0.0, 0.0, 0.02, 0.3)
+      syncEvery <- Gen.choose(1, 7)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (batchSize, stateDim, nActions, terminal, masks, specialRate, syncEvery, seed)
+    forAllN(gen, n = 60) { case c @ (batchSize, stateDim, nActions, terminal, masks, specialRate, syncEvery, seed) =>
+      val rng = new java.util.Random(seed)
+      def value(): Double =
+        if (rng.nextDouble() < specialRate) special(rng.nextInt(special.length)) else rng.nextGaussian()
+      def vec() = Array.fill(stateDim)(value())
+      val ts = Seq.fill(batchSize + 12)(Transition(vec(), rng.nextInt(nActions), value(), vec(),
+        Array.fill(nActions)(masks match {
+          case "empty" => false
+          case "full" => true
+          case _ => rng.nextInt(3) == 0
+        }),
+        done = terminal match {
+          case "all" => true
+          case "none" => false
+          case _ => rng.nextBoolean()
+        }))
+      assertStepsMatch(() => new DQN(stateDim, nActions, batchSize = batchSize,
+        targetSyncEvery = syncEvery, seed = seed), ts, s"case $c")
+    }
+  }
+
+  test("a state or non-terminal next state of the wrong length fails as the reference does") {
+    def ok() = Array(0.1, -0.2, 0.3)
+    val cases = Seq(
+      "short state" -> Transition(Array(0.1, 0.2), 0, 1.0, ok(), Array(true, true), done = false),
+      "long state" -> Transition(Array(0.1, 0.2, 0.3, 0.4), 1, 1.0, ok(), Array(true, true), done = true),
+      "short next state" -> Transition(ok(), 0, 1.0, Array(0.5), Array(true, false), done = false),
+      "long next state" -> Transition(ok(), 1, 1.0, Array.fill(5)(0.5), Array(true, true), done = false))
+    for ((name, bad) <- cases) {
+      def make() = {
+        val d = new DQN(3, 2, batchSize = 4, seed = 83)
+        // only the bad transition is stored, so every draw is it
+        for (_ <- 0 until 4) d.remember(bad)
+        d
       }
+      val a = make()
+      val before = bits(a.online.snapshot)
+      val e = intercept[IllegalArgumentException](a.trainStep())
+      val len = if (name.endsWith("next state")) bad.nextState.length else bad.state.length
+      assert(e.getMessage === s"requirement failed: input dim $len != 3", name)
+      assert(intercept[IllegalArgumentException](referenceTrainStep(make(), 1)).getMessage ===
+        e.getMessage, name)
+      assert(bits(a.online.snapshot) === before, name)
     }
   }
 

@@ -109,6 +109,41 @@ class NeuralNetSpec extends SparkSpec {
     assert(after.b2.toSeq === before.b2.toSeq)
   }
 
+  test("trainBatch equals the per-sample reference bit for bit, at any batch size") {
+    def bits(w: NetWeights): Seq[Long] =
+      (w.w1.flatten ++ w.b1 ++ w.w2.flatten ++ w.b2).map(java.lang.Double.doubleToLongBits).toSeq
+    val a = new MLP(4, 6, 3, seed = 41)
+    val b = new MLP(4, 6, 3, seed = 41)
+    val rng = new java.util.Random(43)
+    // growing, shrinking and regrowing batches: the kernel's lane buffers are reused
+    for ((n, step) <- Seq(1, 2, 32, 31, 33, 2, 1, 40, 33).zipWithIndex) {
+      val xs = Array.fill(n, 4)(rng.nextGaussian())
+      val as = Array.fill(n)(rng.nextInt(3))
+      val ys = Array.fill(n)(rng.nextGaussian())
+      val la = a.trainBatch(xs.indices.map(i => (xs(i), as(i), ys(i))), 0.01)
+      val lb = ReferenceMLP.trainBatch(b, xs, as, ys, 0.01)
+      assert(java.lang.Double.doubleToLongBits(la) === java.lang.Double.doubleToLongBits(lb), s"step $step")
+      assert(bits(a.snapshot) === bits(b.snapshot), s"step $step")
+    }
+  }
+
+  test("trainBatch rejects a sample of the wrong input dimension and leaves the weights unchanged") {
+    val net = new MLP(2, 4, 2, seed = 47)
+    net.trainBatch(Seq((Array(0.5, -0.5), 1, 2.0)), 0.01)
+    val before = net.snapshot
+    for (bad <- Seq(Array(1.0), Array(1.0, 2.0, 3.0))) {
+      val e = intercept[IllegalArgumentException] {
+        net.trainBatch(Seq((Array(0.5, -0.5), 0, 1.0), (bad, 1, 1.0)), 0.01)
+      }
+      assert(e.getMessage === s"requirement failed: input dim ${bad.length} != 2")
+    }
+    val after = net.snapshot
+    assert(after.w1.map(_.toSeq).toSeq === before.w1.map(_.toSeq).toSeq)
+    assert(after.b1.toSeq === before.b1.toSeq)
+    assert(after.w2.map(_.toSeq).toSeq === before.w2.map(_.toSeq).toSeq)
+    assert(after.b2.toSeq === before.b2.toSeq)
+  }
+
   test("only the taken action's Q-value is regressed") {
     val net = new MLP(2, 6, 2, seed = 19)
     val x = Array(0.4, 0.6)

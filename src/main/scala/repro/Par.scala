@@ -9,8 +9,9 @@ import java.util.concurrent.atomic.AtomicInteger
   *    subtrees below it;
   *  - `core.QdtsEnv`: the range ground truth in query chunks and the
   *    endpoints-only (v_s, v_t) in trajectory chunks;
-  *  - `core.Training`: the learning steps of Agent-Cube and Agent-Point in
-  *    each reward window, as two tasks;
+  *  - `core.Training`: each database's episodes beside its validation and
+  *    env-build task, and each reward window's learning steps of Agent-Cube
+  *    and Agent-Point, two tasks each;
   *  - `queries.Traclus.dbscan`: its row chunks;
   *  - `exp.Experiments.Evaluator`: the five query tasks and ground truths
   *    (its octree is built as one task, through `inCaller`).

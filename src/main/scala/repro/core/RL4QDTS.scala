@@ -107,9 +107,7 @@ object RL4QDTS {
     require(nGroups > 0, s"nGroups must be positive, got $nGroups")
     Model.simplifyGroups(points, id => math.floorMod(id, nGroups.toLong)) { (g, db) =>
       val budget = math.round(budgetFrac * Model.totalPoints(db)).toInt
-      val (_, _, _, _, tmin, tmax) = Model.bounds(db)
-      val workload = Workload.dataDist(db, nQueries, querySizeXY,
-        math.max(tmax - tmin, 1.0), seed + g)
+      val workload = Workload.dataDist(db, nQueries, querySizeXY, Workload.fullSpan(db), seed + g)
       simplify(db, budget, workload, MLP.fromWeights(cubeW),
         MLP.fromWeights(pointW), params, seed + 31L * g)
     }

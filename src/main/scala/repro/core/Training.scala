@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.concurrent.{Callable, ExecutionException, ExecutorService, Executors, Future}
-import scala.collection.mutable
 import repro.Par
 import repro.data.TrajGen
 import repro.queries.Workload
@@ -59,51 +57,32 @@ object Training {
     */
   private def buildEnv(cfg: TrainConfig, nTrajs: Int, dbSeed: Long, wlSeed: Long): QdtsEnv = {
     val db = TrajGen.genLocal(cfg.profile, nTrajs, dbSeed)
-    val (_, _, _, _, tmin, tmax) = Model.bounds(db)
     val workload = Workload.generate(cfg.workloadKind, db, cfg.nQueries,
-      cfg.querySizeXY, math.max(tmax - tmin, 1.0), wlSeed)
+      cfg.querySizeXY, Workload.fullSpan(db), wlSeed)
     new QdtsEnv(db, workload, cfg.params)
   }
 
   /** Train both agents; returns them (the caller snapshots `cubeNet`/`pointNet`
     * for inference).
     *
-    * The main thread runs the episodes. In each reward window the two
-    * agents' learning steps run as two `Par` tasks; both finish before the
-    * next window acts, so the nets are those of running them in turn. One
-    * worker thread, created per call, takes the work no later step of the
-    * main thread waits on: it builds database i+1's env while the main
-    * thread trains on database i, and it validates each episode's snapshot
-    * of both nets. It runs its tasks in submission order, so the best model
-    * is chosen in episode order, as if every validation ran right after its
-    * episode. `train` returns once the worker has finished, and rethrows the
-    * exception of a failed worker task.
+    * Each database is one `Par.all` of two tasks: its episodes, which return
+    * each episode's snapshot of both nets, and the validation of the previous
+    * database's snapshots in episode order, then the next database's env
+    * build. The last database's snapshots are validated after it, so the best
+    * model is chosen in episode order, as if each validation ran right after
+    * its episode.
     */
   def train(cfg: TrainConfig): TrainedAgents = {
-    var workerThread: Thread = null
-    val worker = Executors.newSingleThreadExecutor { r =>
-      workerThread = new Thread(r, "training-worker"); workerThread
-    }
-    try train(cfg, worker)
-    finally {
-      worker.shutdownNow()
-      if (workerThread != null) workerThread.join()
-    }
-  }
-
-  private def train(cfg: TrainConfig, worker: ExecutorService): TrainedAgents = {
     val agents = makeAgents(cfg.params, cfg.seed)
     val rng = new java.util.Random(cfg.seed)
-    def submit[A](task: => A): Future[A] = worker.submit(new Callable[A] { def call(): A = task })
-    def await[A](f: Future[A]): A =
-      try f.get() catch { case e: ExecutionException => throw e.getCause }
 
-    // held-out validation database for best-model selection; only the worker
-    // builds and uses it
+    // held-out validation database for best-model selection; only the
+    // validation task builds and uses it
     lazy val valEnv = buildEnv(cfg, math.max(10, cfg.trajsPerDb / 2), cfg.seed - 7, cfg.seed - 8)
     lazy val valBudget =
       math.max(2 * valEnv.db.length + 5, math.round(cfg.budgetFrac * Model.totalPoints(valEnv.db)).toInt)
-    def validate(cubeW: NetWeights, pointW: NetWeights): Unit = {
+    def validate(snapshot: (NetWeights, NetWeights)): Unit = {
+      val (cubeW, pointW) = snapshot
       RL4QDTS.simplify(valEnv, valBudget, MLP.fromWeights(cubeW), MLP.fromWeights(pointW),
         seed = 17, RL4QDTS.Variant())
       // the env's incremental F1 of the result: bit-equal to re-running the
@@ -118,10 +97,8 @@ object Training {
     }
     // the octree, its query counts and the ground truth depend only on
     // (db, workload): one env for every episode on a database
-    def trainingEnv(dbIdx: Int): Future[QdtsEnv] =
-      submit(buildEnv(cfg, cfg.trajsPerDb, cfg.seed + 1000L * (dbIdx + 1), cfg.seed + dbIdx))
-    var next = trainingEnv(0)
-    val validations = mutable.ArrayBuffer.empty[Future[Unit]]
+    def trainingEnv(dbIdx: Int): QdtsEnv =
+      buildEnv(cfg, cfg.trajsPerDb, cfg.seed + 1000L * (dbIdx + 1), cfg.seed + dbIdx)
 
     // Transitions are built as the step picks actions. A descend step's
     // transition is complete once the next cube's state is seen; the last one
@@ -158,13 +135,11 @@ object Training {
       pointA
     }
 
-    for (dbIdx <- 0 until cfg.nDbs) {
-      val env = await(next)
-      next = if (dbIdx + 1 < cfg.nDbs) trainingEnv(dbIdx + 1) else null
+    /** `env`'s episodes, each one's snapshot of both nets in episode order. */
+    def episodes(env: QdtsEnv): Vector[(NetWeights, NetWeights)] = {
       val n = Model.totalPoints(env.db)
       val budget = math.max(2 * env.db.length, math.round(cfg.budgetFrac * n).toInt)
-
-      for (_ <- 0 until cfg.episodesPerDb) {
+      Vector.fill(cfg.episodesPerDb) {
         env.reset()
         var sinceWindow = 0
         val target = math.min(budget.toLong, n).toInt
@@ -208,12 +183,24 @@ object Training {
           if (sinceWindow >= cfg.params.delta) flushWindow()
         }
         if (sinceWindow > 0) flushWindow()
-        // snapshot on this thread: `submit` runs its by-name task on the worker
-        val (cubeW, pointW) = (agents.cube.online.snapshot, agents.point.online.snapshot)
-        validations += submit(validate(cubeW, pointW))
+        (agents.cube.online.snapshot, agents.point.online.snapshot)
       }
     }
-    validations.foreach(await)
+
+    // database i's episodes, the longer task, first; beside them database
+    // i-1's validations and database i+1's env
+    var env = if (cfg.nDbs > 0) trainingEnv(0) else null
+    var snapshots = Vector.empty[(NetWeights, NetWeights)]
+    for (dbIdx <- 0 until cfg.nDbs) {
+      val previous = snapshots
+      var next: QdtsEnv = null
+      Par.all(Seq(() => snapshots = episodes(env), () => {
+        previous.foreach(validate)
+        if (dbIdx + 1 < cfg.nDbs) next = trainingEnv(dbIdx + 1)
+      }))
+      env = next
+    }
+    snapshots.foreach(validate)
     agents
   }
 }

@@ -103,8 +103,7 @@ object Experiments {
       throw new IllegalArgumentException(
         s"trajectory ${tr.id}: t falls at index $i (${tr.points(i - 1).t} then ${tr.points(i).t})")
 
-    private val (xmin, xmax, ymin, ymax, tmin, tmax) = Model.bounds(db)
-    private val span = math.max(tmax - tmin, 1.0)
+    private val span = Workload.fullSpan(db)
 
     /** A query trajectory's own time window. A zero-point trajectory has
       * none; it gets the one-instant window [0, 0], which its empty query
@@ -206,9 +205,8 @@ object Experiments {
   def runRl4qdts(db: Array[Traj], w: Int, agents: Training.TrainedAgents,
                  workloadKind: String, runs: Int, seed: Long = 9999,
                  variant: RL4QDTS.Variant = RL4QDTS.Variant()): Seq[SimpleDB] = {
-    val (_, _, _, _, tmin, tmax) = Model.bounds(db)
     // inference-time synthetic workload (not the evaluation queries!)
-    val wl = Workload.generate(workloadKind, db, 100, 2000.0, math.max(tmax - tmin, 1.0), seed + 1)
+    val wl = Workload.generate(workloadKind, db, 100, 2000.0, Workload.fullSpan(db), seed + 1)
     RL4QDTS.simplifyRuns(db, w, wl, agents.cubeNet, agents.pointNet, benchParams,
       runs, seed, variant)
   }

@@ -273,10 +273,16 @@ object Figures {
         // density-adaptive S, as the paper scales S with database size
         Experiments.paramsFor(Model.totalPoints(d)), seed = 1))
 
-  private def workloadOf(db: Array[Traj], seed: Long): Array[Box] = {
-    val (_, _, _, _, tmin, tmax) = Model.bounds(db)
-    Workload.dataDist(db, 100, 2000, math.max(tmax - tmin, 1.0), seed)
+  /** `simplify`'s result and the median time of 3 calls (one call's time
+    * swings by half between runs).
+    */
+  private def medianTime(simplify: => SimpleDB): (SimpleDB, Double) = {
+    val calls = Seq.fill(3)(time(simplify))
+    (calls.head._1, calls.map(_._2).sorted.apply(1))
   }
+
+  private def workloadOf(db: Array[Traj], seed: Long): Array[Box] =
+    Workload.dataDist(db, 100, 2000, Workload.fullSpan(db), seed)
 
   /** Fig. 8(a) with each method's times in ascending N, and every run. */
   final case class Fig8a(table: Table, timesByMethod: Map[String, List[Double]], runs: Seq[Run])
@@ -294,7 +300,7 @@ object Figures {
       val n = Model.totalPoints(db)
       val w = budget(db, 0.02)
       for (m <- timedMethods(in.agents, workloadOf(db, 778))) {
-        val (s, t) = time(m.simplify(db, w))
+        val (s, t) = medianTime(m.simplify(db, w))
         runs += Run(db, w, s)
         timesByMethod(m.name) = timesByMethod(m.name) :+ t
         rows += Seq(s"$n", m.name, f"$t%.2f")
@@ -317,7 +323,7 @@ object Figures {
     for (b <- budgets) {
       val w = budget(db, b)
       for (m <- timedMethods(in.agents, wl)) {
-        val (s, dt) = time(m.simplify(db, w))
+        val (s, dt) = medianTime(m.simplify(db, w))
         runs += Run(db, w, s)
         t += (m.name, b) -> dt
         rows += Seq(pct(b), m.name, f"$dt%.2f")

@@ -50,6 +50,10 @@ object Workload {
     }
   }
 
+  /** The temporal extent of a query over the whole of `db`: its t range, at least 1. */
+  def fullSpan(db: Array[Traj]): Double =
+    Model.bounds(db) match { case (_, _, _, _, tmin, tmax) => math.max(tmax - tmin, 1.0) }
+
   /** Named workload distribution, used by benches/jobs. */
   def generate(kind: String, db: Array[Traj], n: Int, sizeXY: Double, sizeT: Double,
                seed: Long): Array[Box] = kind match {

@@ -88,7 +88,9 @@ class TrainingSpec extends SparkSpec {
   test("training with both learners on the caller gives the bits of the default run") {
     def bits(xs: Array[Double]) = xs.map(java.lang.Double.doubleToLongBits).toSeq
     def netBits(w: repro.rl.NetWeights) = bits(w.w1.flatten ++ w.b1 ++ w.w2.flatten ++ w.b2)
-    // inside `inCaller` the window's two learner tasks run in turn on this thread
+    // inside `inCaller` all of training runs on this thread: each database's
+    // episode and validation tasks in turn, and within them each window's two
+    // learner tasks
     val one = repro.Par.inCaller(Training.train(cfg))
     assert(netBits(one.cube.online.snapshot) === netBits(trained.cube.online.snapshot))
     assert(netBits(one.point.online.snapshot) === netBits(trained.point.online.snapshot))
@@ -97,22 +99,24 @@ class TrainingSpec extends SparkSpec {
     assert(bits(one.valF1s.toArray) === bits(trained.valF1s.toArray))
   }
 
-  private def workerAlive: Boolean =
-    Thread.getAllStackTraces.keySet.toArray(Array.empty[Thread]).exists(t =>
-      t.getName == "training-worker" && t.isAlive)
-
-  test("train leaves no worker thread behind when it returns") {
-    Training.train(cfg.copy(nDbs = 1, episodesPerDb = 1))
-    assert(!workerAlive)
-  }
-
-  test("train rethrows the exception of a failed worker task and leaves no worker thread behind") {
-    // the training databases' workloads are built on the worker
+  test("train rethrows the exception of a failed env build") {
     val e = intercept[IllegalArgumentException] {
       Training.train(cfg.copy(workloadKind = "no-such-kind", nDbs = 50))
     }
     assert(e.getMessage === "unknown workload no-such-kind")
-    assert(!workerAlive)
+  }
+
+  test("train with no database or no episode returns untrained agents") {
+    val fresh = Training.makeAgents(params, seed = cfg.seed)
+    val s = Array.fill(16)(0.1)
+    for (c <- Seq(cfg.copy(nDbs = 0), cfg.copy(episodesPerDb = 0))) {
+      val a = Training.train(c)
+      assert(a.valF1s.isEmpty && a.bestValF1 === -1.0)
+      assert(a.bestCube.isEmpty && a.bestPoint.isEmpty)
+      assert(a.cubeNet eq a.cube.online)
+      assert(a.cube.memory.size === 0 && a.point.memory.size === 0)
+      assert(a.cubeNet.forward(s).toSeq === fresh.cubeNet.forward(s).toSeq)
+    }
   }
 
   test("trained policies drive inference without errors and meet budgets") {

@@ -17,7 +17,7 @@ object Baselines {
   /** The 16 non-RLTS+ static adaptations + Span-Search = 17 methods; RLTS+
     * adaptations require trained policies, supplied via `rlts`.
     */
-  def all(rlts: Map[Measure, RltsPlus] = Map.empty): Seq[NamedMethod] = {
+  def all(rlts: Map[Measure, RltsPlus]): Seq[NamedMethod] = {
     val stat = for {
       m <- ErrorMeasures.all
       (adapt, fE, fW) <- Seq(

@@ -14,7 +14,7 @@ import repro.traj.ErrorMeasures.Measure
   * trained policy is shared between the E (each trajectory alone) and W
   * (whole-database) adaptations.
   */
-final class RltsPlus(val measure: Measure, seed: Long = 17) {
+final class RltsPlus(val measure: Measure, seed: Long) {
 
   private val k = 3
 

@@ -2,18 +2,19 @@ package repro.core
 
 import repro.Par
 import repro.index.{OctNode, Octree}
+import repro.queries.Quality
 import repro.traj.ErrorMeasures
 
 /** Hyper-parameters of RL4QDTS (Section IV-D / V-A). Paper values S=9, E=12,
-  * K=2, Δ=50 are tied to millions-of-points databases; defaults here are the
-  * same mechanism at repro scale (see DESIGN.md substitutions).
+  * K=2, Δ=50 are tied to millions-of-points databases; `Experiments.benchParams`
+  * is the same mechanism at repro scale (see DESIGN.md substitutions).
   */
 final case class QdtsParams(
-    startLevel: Int = 4, // S: Agent-Cube starts from a query-distribution-sampled cube at this level
-    maxLevel: Int = 8,   // E: maximum octree level
-    k: Int = 2,          // K: Agent-Point state/action size
-    delta: Int = 50,     // Δ: insertions between reward evaluations
-    leafCap: Int = 32)   // adaptive octree split threshold
+    startLevel: Int, // S: Agent-Cube starts from a query-distribution-sampled cube at this level
+    maxLevel: Int,   // E: maximum octree level
+    k: Int,          // K: Agent-Point state/action size
+    delta: Int,      // Δ: insertions between reward evaluations
+    leafCap: Int)    // adaptive octree split threshold
     extends Serializable
 
 /** The shared environment of Agent-Cube and Agent-Point: the octree with
@@ -344,15 +345,7 @@ final class QdtsEnv(val db: Array[Traj], val workload: Array[Box], val params: Q
     var s = 0.0
     var qi = 0
     while (qi < workload.length) {
-      s += {
-        if (gtSize(qi) == 0 && rsSize(qi) == 0) 1.0
-        else if (gtSize(qi) == 0 || rsSize(qi) == 0 || matched(qi) == 0) 0.0
-        else {
-          val p = matched(qi).toDouble / rsSize(qi)
-          val r = matched(qi).toDouble / gtSize(qi)
-          2 * p * r / (p + r)
-        }
-      }
+      s += Quality.f1(matched(qi), rsSize(qi), gtSize(qi))
       qi += 1
     }
     s / workload.length

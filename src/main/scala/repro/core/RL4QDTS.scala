@@ -78,17 +78,6 @@ object RL4QDTS {
     env.result
   }
 
-  /** Run `simplify` `runs` times with different seeds (the paper reports the
-    * mean and standard deviation over 50 runs because of the random start-cube
-    * sampling) on one env; returns the simplified databases.
-    */
-  def simplifyRuns(db: Array[Traj], totalBudget: Int, workload: Array[Box],
-                   cubeNet: MLP, pointNet: MLP, params: QdtsParams, runs: Int,
-                   seed: Long = 0, variant: Variant = Variant()): Seq[SimpleDB] = {
-    val env = new QdtsEnv(db, workload, params)
-    (0 until runs).map(r => simplify(env, totalBudget, cubeNet, pointNet, seed + 7919L * r, variant))
-  }
-
   /** Distributed inference: partition the trajectory relation into `nGroups`
     * batches by `floorMod(traj_id, nGroups)`, ship the trained policy weights
     * in the task closure, and run RL4QDTS on each batch with the budget

@@ -14,18 +14,19 @@ import repro.rl.{DQN, MLP, NetWeights, Transition}
   */
 object Training {
 
+  /** One training run's set-up; every experiment uses `Experiments.trainConfig`. */
   final case class TrainConfig(
-      profile: TrajGen.Profile = TrajGen.geolife,
-      nDbs: Int = 3,              // paper: 12 databases
-      trajsPerDb: Int = 60,       // paper: 500 (4000 for Chengdu)
-      episodesPerDb: Int = 2,     // paper: 5
-      budgetFrac: Double = 0.02,
-      nQueries: Int = 100,
-      querySizeXY: Double = 2000.0,
-      workloadKind: String = "data",
-      params: QdtsParams = QdtsParams(),
-      trainStepsPerWindow: Int = 8,
-      seed: Long = 99)
+      profile: TrajGen.Profile,
+      nDbs: Int,
+      trajsPerDb: Int,
+      episodesPerDb: Int,
+      budgetFrac: Double,
+      nQueries: Int,
+      querySizeXY: Double,
+      workloadKind: String,
+      params: QdtsParams,
+      trainStepsPerWindow: Int,
+      seed: Long)
 
   /** The two learners plus the best validation snapshot seen during training
     * ("the best model is chosen during training", Section V-A). Inference uses

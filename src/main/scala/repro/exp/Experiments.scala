@@ -60,9 +60,9 @@ object Experiments {
     */
   val trainConfig: Training.TrainConfig = Training.TrainConfig(
     profile = benchProfile,
-    nDbs = envInt("BENCH_TRAIN_DBS", 12),
-    trajsPerDb = envInt("BENCH_TRAIN_TRAJS", 50),
-    episodesPerDb = envInt("BENCH_TRAIN_EPISODES", 10),
+    nDbs = envInt("BENCH_TRAIN_DBS", 12),             // paper: 12 databases
+    trajsPerDb = envInt("BENCH_TRAIN_TRAJS", 50),     // paper: 500 (4000 for Chengdu)
+    episodesPerDb = envInt("BENCH_TRAIN_EPISODES", 10), // paper: 5
     budgetFrac = 0.01,
     nQueries = 100,
     querySizeXY = 2000.0,
@@ -92,9 +92,13 @@ object Experiments {
     * quality measures). Built once per (db, distribution) and reused across
     * methods so every method faces identical queries.
     */
-  final class Evaluator(val db: Array[Traj], workloadKind: String, seed: Long = 2024,
-                        nRange: Int = 100, nKnn: Int = 8, nSim: Int = 10,
-                        clusterTrajs: Int = 150) {
+  final class Evaluator(val db: Array[Traj], workloadKind: String) {
+
+    // one fixed query set: its seed, the query counts per task and the
+    // trajectories that are clustered
+    private val seed = 2024L
+    private val nRange = 100; private val nKnn = 8; private val nSim = 10
+    private val clusterTrajs = 150
 
     // queries are drawn from `db`, and a query's own window runs from its
     // first to its last t
@@ -144,7 +148,7 @@ object Experiments {
     // truths, and its own tasks made the second and third set-ups of a
     // fresh JVM slower (perfbench `setup_s` +17 %)
     private def rangeSelection(): Array[(Box, Set[Long])] = {
-      val index = Par.inCaller(new Octree(db, QdtsParams().maxLevel, QdtsParams().leafCap))
+      val index = Par.inCaller(new Octree(db, benchParams.maxLevel, benchParams.leafCap))
       val raw = Workload.generate(workloadKind, db, nRange * 4, 2000.0, span, seed).map { q =>
         val hit = index.trajsIn(q)
         (q, db.indices.iterator.filter(hit).map(db(_).id).toSet)
@@ -201,14 +205,18 @@ object Experiments {
     def rangeF1(s: SimpleDB): Double = rangeScore(s.materialise(db))
   }
 
-  /** Run RL4QDTS with trained nets; convenience for benches. */
+  /** Run RL4QDTS with trained nets `runs` times on one env, run r with seed
+    * `seed + 7919·r` (the paper reports the mean and standard deviation over
+    * runs because of the random start-cube sampling); convenience for benches.
+    */
   def runRl4qdts(db: Array[Traj], w: Int, agents: Training.TrainedAgents,
-                 workloadKind: String, runs: Int, seed: Long = 9999,
+                 workloadKind: String, runs: Int, seed: Long,
                  variant: RL4QDTS.Variant = RL4QDTS.Variant()): Seq[SimpleDB] = {
     // inference-time synthetic workload (not the evaluation queries!)
     val wl = Workload.generate(workloadKind, db, 100, 2000.0, Workload.fullSpan(db), seed + 1)
-    RL4QDTS.simplifyRuns(db, w, wl, agents.cubeNet, agents.pointNet, benchParams,
-      runs, seed, variant)
+    val env = new QdtsEnv(db, wl, benchParams)
+    val (cube, point) = (agents.cubeNet, agents.pointNet)
+    (0 until runs).map(r => RL4QDTS.simplify(env, w, cube, point, seed + 7919L * r, variant))
   }
 
   def time[A](f: => A): (A, Double) = {

@@ -67,7 +67,7 @@ final class OctNode(val level: Int, val box: Box) {
 final class Octree private[index] (val db: Array[Traj], val maxDepth: Int, val leafCap: Int,
                                    cutLevel: Int) {
 
-  def this(db: Array[Traj], maxDepth: Int, leafCap: Int = 32) = this(db, maxDepth, leafCap, Octree.cutLevel)
+  def this(db: Array[Traj], maxDepth: Int, leafCap: Int) = this(db, maxDepth, leafCap, Octree.cutLevel)
 
   val bounds: Box = {
     val (xmin, xmax, ymin, ymax, tmin, tmax) = Model.bounds(db)

@@ -6,7 +6,7 @@ import repro.core.Point
   * non-learning kNN dissimilarity. Two points "match" when both coordinate
   * differences are within `eps` (the paper uses a 2 km threshold); EDR is the
   * unit-cost edit distance under that match predicate. Inputs longer than
-  * `maxLen` are uniformly subsampled first so worst-case cost stays bounded
+  * `MaxLen` are uniformly subsampled first so worst-case cost stays bounded
   * at bench scale.
   *
   * The distance is computed with Myers' bit-vector algorithm (JACM 1999) in
@@ -20,32 +20,30 @@ import repro.core.Point
   */
 object Edr {
 
-  val DefaultMaxLen = 256
+  /** The longest sequence EDR compares; longer inputs are subsampled to it. */
+  val MaxLen = 256
 
-  private[queries] def subsample(pts: Array[Point], maxLen: Int): Array[Point] =
-    if (pts.length <= maxLen) pts
-    else Array.tabulate(maxLen)(i => pts(((i.toLong * (pts.length - 1)) / (maxLen - 1)).toInt))
+  private[queries] def subsample(pts: Array[Point]): Array[Point] =
+    if (pts.length <= MaxLen) pts
+    else Array.tabulate(MaxLen)(i => pts(((i.toLong * (pts.length - 1)) / (MaxLen - 1)).toInt))
 
   /** The pattern side of the kernel: a subsampled sequence as x/y columns. */
   private[queries] final class Pattern(val xs: Array[Double], val ys: Array[Double])
 
-  private[queries] def pattern(pts: Array[Point], maxLen: Int): Pattern = {
-    val a = subsample(pts, maxLen)
+  private[queries] def pattern(pts: Array[Point]): Pattern = {
+    val a = subsample(pts)
     val xs = new Array[Double](a.length); val ys = new Array[Double](a.length)
     var i = 0
     while (i < a.length) { xs(i) = a(i).x; ys(i) = a(i).y; i += 1 }
     new Pattern(xs, ys)
   }
 
-  def edr(a0: Array[Point], b0: Array[Point], eps: Double,
-          maxLen: Int = DefaultMaxLen): Double = {
-    require(maxLen >= 2, s"EDR maxLen must be at least 2 (the endpoints), got $maxLen")
-    distance(pattern(a0, maxLen), b0, eps, maxLen)
-  }
+  def edr(a0: Array[Point], b0: Array[Point], eps: Double): Double =
+    distance(pattern(a0), b0, eps)
 
-  /** EDR between a prepared pattern and `b0` (subsampled to `maxLen`). */
-  private[queries] def distance(p: Pattern, b0: Array[Point], eps: Double, maxLen: Int): Double = {
-    val b = subsample(b0, maxLen)
+  /** EDR between a prepared pattern and `b0` (subsampled to `MaxLen`). */
+  private[queries] def distance(p: Pattern, b0: Array[Point], eps: Double): Double = {
+    val b = subsample(b0)
     val xs = p.xs; val ys = p.ys
     val n = xs.length; val m = b.length
     if (n == 0) return m.toDouble
@@ -104,10 +102,8 @@ object Edr {
   /** The two-row O(n·m) dynamic program `edr` replaces; kept as the
     * reference its tests compare against.
     */
-  private[queries] def edrReference(a0: Array[Point], b0: Array[Point], eps: Double,
-                                    maxLen: Int = DefaultMaxLen): Double = {
-    require(maxLen >= 2, s"EDR maxLen must be at least 2 (the endpoints), got $maxLen")
-    val a = subsample(a0, maxLen); val b = subsample(b0, maxLen)
+  private[queries] def edrReference(a0: Array[Point], b0: Array[Point], eps: Double): Double = {
+    val a = subsample(a0); val b = subsample(b0)
     val n = a.length; val m = b.length
     if (n == 0) return m.toDouble
     if (m == 0) return n.toDouble

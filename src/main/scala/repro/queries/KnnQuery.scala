@@ -21,8 +21,8 @@ object KnnQuery {
     // distance from the query window to a non-empty window
     val dist: Traj => Double = sim match {
       case EDR =>
-        val qp = Edr.pattern(qw.points, Edr.DefaultMaxLen)
-        w => Edr.distance(qp, w.points, 2000.0, Edr.DefaultMaxLen)
+        val qp = Edr.pattern(qw.points)
+        w => Edr.distance(qp, w.points, 2000.0)
       case Embed =>
         val (xmin, xmax, ymin, ymax, _, _) = Model.bounds(db)
         val xs = xmax - xmin; val ys = ymax - ymin

@@ -5,16 +5,18 @@ package repro.queries
   */
 object Quality {
 
-  /** Set F1 of `rs` (simplified result) against `ro` (original result).
-    * Both empty -> perfect (1.0); one empty -> 0.0.
+  /** Set F1 of `rs` (simplified result) against `ro` (original result). */
+  def f1[A](ro: Set[A], rs: Set[A]): Double = f1(ro.intersect(rs).size, rs.size, ro.size)
+
+  /** F1 of a result of `resultSize` items, `matched` of them in a ground
+    * truth of `truthSize`. Both empty -> perfect (1.0); one empty or no
+    * match -> 0.0.
     */
-  def f1[A](ro: Set[A], rs: Set[A]): Double = {
-    if (ro.isEmpty && rs.isEmpty) return 1.0
-    if (ro.isEmpty || rs.isEmpty) return 0.0
-    val inter = ro.intersect(rs).size.toDouble
-    if (inter == 0) return 0.0
-    val p = inter / rs.size
-    val r = inter / ro.size
+  def f1(matched: Int, resultSize: Int, truthSize: Int): Double = {
+    if (truthSize == 0 && resultSize == 0) return 1.0
+    if (truthSize == 0 || resultSize == 0 || matched == 0) return 0.0
+    val p = matched.toDouble / resultSize
+    val r = matched.toDouble / truthSize
     2 * p * r / (p + r)
   }
 

@@ -14,19 +14,19 @@ import repro.core.{Point, Traj}
   */
 object TrajEmbed {
 
-  val DefaultL = 32
+  /** Resampled times per trajectory. */
+  val L = 32
 
   /** Embed a trajectory into R^{2L}. Degenerate trajectories (0/1 point)
     * repeat their single location (or zeros when empty).
     */
-  def embed(tr: Traj, xmin: Double, xspan: Double, ymin: Double, yspan: Double,
-            l: Int = DefaultL): Array[Double] = {
-    val out = new Array[Double](2 * l)
+  def embed(tr: Traj, xmin: Double, xspan: Double, ymin: Double, yspan: Double): Array[Double] = {
+    val out = new Array[Double](2 * L)
     if (tr.points.isEmpty) return out
     val t0 = tr.points.head.t; val t1 = tr.points.last.t
     var i = 0
-    while (i < l) {
-      val t = if (l == 1 || t1 == t0) t0 else t0 + i * (t1 - t0) / (l - 1)
+    while (i < L) {
+      val t = if (t1 == t0) t0 else t0 + i * (t1 - t0) / (L - 1)
       val p: Point = tr.at(t).getOrElse(tr.points.head)
       out(2 * i) = (p.x - xmin) / math.max(xspan, 1e-12)
       out(2 * i + 1) = (p.y - ymin) / math.max(yspan, 1e-12)

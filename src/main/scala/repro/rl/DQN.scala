@@ -1,22 +1,19 @@
 package repro.rl
 
 /** Deep Q-Network with replay memory, target network, ε-greedy exploration and
-  * action masking — Section IV-C. The nets' 25 hidden units and the replay
-  * capacity of 2000 are the paper's; the other hyper-parameters default to
-  * its settings (γ=0.99, lr=0.01, ε decaying to 0.1 by 0.99).
+  * action masking — Section IV-C. The nets' 25 hidden units, the replay
+  * capacity of 2000 and ε decaying to 0.1 by 0.99 are the paper's; they, the
+  * batch of 32 and the target sync every 100 steps are the constants of
+  * `object DQN`. γ and lr default to the paper's 0.99 and 0.01.
   */
 final class DQN(
     val stateDim: Int,
     val nActions: Int,
     val gamma: Double = 0.99,
     val lr: Double = 0.01,
-    val batchSize: Int = 32,
-    val targetSyncEvery: Int = 100,
-    val epsMin: Double = 0.1,
-    val epsDecay: Double = 0.99,
-    seed: Long = 13) extends Serializable {
+    seed: Long) extends Serializable {
 
-  import DQN.{Hidden, MemCapacity}
+  import DQN.{BatchSize, EpsDecay, EpsMin, Hidden, MemCapacity, TargetSyncEvery}
 
   val online: MLP = new MLP(stateDim, Hidden, nActions, seed)
   val target: MLP = new MLP(stateDim, Hidden, nActions, seed + 1)
@@ -29,13 +26,13 @@ final class DQN(
 
   // buffers of `trainStep`: the sampled batch, its regression inputs, and
   // its non-terminal transitions' next states with their batch slots
-  private val batch = new Array[Transition](batchSize)
-  private val states = new Array[Array[Double]](batchSize)
-  private val actions = new Array[Int](batchSize)
-  private val targets = new Array[Double](batchSize)
-  private val nexts = new Array[Array[Double]](batchSize)
-  private val slots = new Array[Int](batchSize)
-  private val aStars = new Array[Int](batchSize)
+  private val batch = new Array[Transition](BatchSize)
+  private val states = new Array[Array[Double]](BatchSize)
+  private val actions = new Array[Int](BatchSize)
+  private val targets = new Array[Double](BatchSize)
+  private val nexts = new Array[Array[Double]](BatchSize)
+  private val slots = new Array[Int](BatchSize)
+  private val aStars = new Array[Int](BatchSize)
   private val q = new Array[Double](nActions)
 
   /** Greedy action among valid ones; ε-greedy when `explore`. `mask(a)` marks
@@ -64,11 +61,11 @@ final class DQN(
     * the per-sample passes. Allocates nothing.
     */
   def trainStep(): Double = {
-    if (memory.size < batchSize) return 0.0
+    if (memory.size < BatchSize) return 0.0
     memory.sampleInto(batch)
     var n = 0 // non-terminal transitions
     var b = 0
-    while (b < batchSize) {
+    while (b < BatchSize) {
       val t = batch(b)
       states(b) = t.state
       actions(b) = t.action
@@ -95,14 +92,14 @@ final class DQN(
     }
     val loss = online.trainBatch(states, actions, targets, lr)
     steps += 1
-    if (steps % targetSyncEvery == 0) target.copyFrom(online)
+    if (steps % TargetSyncEvery == 0) target.copyFrom(online)
     loss
   }
 
   /** Decay the exploration rate by one step; `Training` calls it once per
     * reward window (every Δ insertions), `RltsPlus` once per trajectory episode.
     */
-  def decayEpsilon(): Unit = epsilon = math.max(epsMin, epsilon * epsDecay)
+  def decayEpsilon(): Unit = epsilon = math.max(EpsMin, epsilon * EpsDecay)
 }
 
 object DQN {
@@ -112,6 +109,18 @@ object DQN {
 
   /** Replay memory capacity. */
   val MemCapacity = 2000
+
+  /** Transitions per learning step. */
+  val BatchSize = 32
+
+  /** Learning steps between target-network syncs. */
+  val TargetSyncEvery = 100
+
+  /** The exploration rate's floor. */
+  val EpsMin = 0.1
+
+  /** The exploration rate's factor per `decayEpsilon`. */
+  val EpsDecay = 0.99
 
   /** The valid action with the largest Q-value, or -1 if no action is
     * valid. Ties go to the first maximum in index order under

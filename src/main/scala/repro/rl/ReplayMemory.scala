@@ -15,7 +15,7 @@ final case class Transition(
 /** Fixed-capacity ring-buffer replay memory with uniform sampling, as in the
   * DQN of Mnih et al. that the paper adopts (capacity 2000 in the paper).
   */
-final class ReplayMemory(val capacity: Int, seed: Long = 11) {
+final class ReplayMemory(val capacity: Int, seed: Long) {
   private val buf = new Array[Transition](capacity)
   private var next = 0
   private var filled = 0

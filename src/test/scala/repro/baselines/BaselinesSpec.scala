@@ -30,7 +30,7 @@ class BaselinesSpec extends SparkSpec with PropSupport {
   }
 
   test("without trained RLTS+ policies the catalog has the 17 static methods") {
-    assert(Baselines.all().length === 17)
+    assert(Baselines.all(Map.empty).length === 17)
   }
 
   test("every catalog method produces a bounded valid simplification") {
@@ -175,7 +175,7 @@ class BaselinesSpec extends SparkSpec with PropSupport {
   test("simplifyESpark at r = W / N equals the catalog's E adaptation at W") {
     val df = Model.toDF(spark, db.toSeq).cache()
     val n = Model.totalPoints(db)
-    val catalog = Baselines.all()
+    val catalog = Baselines.all(Map.empty)
     for (frac <- Seq(0.1, 0.3); (method, adapt, m) <- ErrorMeasures.all.flatMap(m =>
            Seq(("topdown", "Top-Down", m), ("bottomup", "Bottom-Up", m))) :+
            (("spansearch", "Span-Search", ErrorMeasures.DAD))) {

@@ -12,7 +12,7 @@ class RltsPlusSpec extends SparkSpec {
   private lazy val trainDb = TrajGen.genLocal(TrajGen.chengdu, 8, 21)
 
   test("untrained policy still produces valid simplifications") {
-    val r = new RltsPlus(SED)
+    val r = new RltsPlus(SED, seed = 17)
     val tr = trainDb(0)
     val kept = r.simplifyOne(tr, math.max(2, tr.length / 5))
     assert(kept.head === 0 && kept.last === tr.length - 1)
@@ -66,7 +66,7 @@ class RltsPlusSpec extends SparkSpec {
 
   test("short trajectories are skipped in training without error") {
     val tiny = Array(Traj(0, Array(Point(0, 0, 0), Point(1, 1, 1))))
-    val r = new RltsPlus(SED)
+    val r = new RltsPlus(SED, seed = 17)
     r.train(tiny, 0.5, 2) // must not throw
     assert(r.dqn.memory.size === 0)
   }

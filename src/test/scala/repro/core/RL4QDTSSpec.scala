@@ -229,18 +229,11 @@ class RL4QDTSSpec extends SparkSpec with PropSupport {
     }
   }
 
-  test("simplifyRuns returns the requested number of runs") {
-    val (db, wl) = setup(nTrajs = 5)
-    val runs = RL4QDTS.simplifyRuns(db, 2 * db.length + 10, wl,
-      agents.cubeNet, agents.pointNet, params, runs = 3, seed = 17)
-    assert(runs.size === 3)
-    assert(runs.forall(_.totalPoints === 2 * db.length + 10))
-  }
-
-  test("simplifyRuns on one env equals independent simplify calls with the same seeds") {
+  test("simplify on one env equals independent simplify calls with the same seeds") {
     val (db, wl) = setup(nTrajs = 6, seed = 29)
-    val runs = RL4QDTS.simplifyRuns(db, 2 * db.length + 40, wl,
-      agents.cubeNet, agents.pointNet, params, runs = 3, seed = 17)
+    val env = new QdtsEnv(db, wl, params)
+    val runs = (0 until 3).map(r => RL4QDTS.simplify(env, 2 * db.length + 40,
+      agents.cubeNet, agents.pointNet, 17 + 7919L * r, RL4QDTS.Variant()))
     for ((s, r) <- runs.zipWithIndex) {
       val alone = RL4QDTS.simplify(db, 2 * db.length + 40, wl, agents.cubeNet, agents.pointNet,
         params, seed = 17 + 7919L * r)

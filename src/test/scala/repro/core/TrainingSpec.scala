@@ -11,7 +11,7 @@ class TrainingSpec extends SparkSpec {
 
   private lazy val cfg = Training.TrainConfig(
     profile = TrajGen.chengdu, nDbs = 2, trajsPerDb = 10, episodesPerDb = 2,
-    budgetFrac = 0.1, nQueries = 30, querySizeXY = 2000, params = params,
+    budgetFrac = 0.1, nQueries = 30, querySizeXY = 2000, workloadKind = "data", params = params,
     trainStepsPerWindow = 4, seed = 7)
 
   private lazy val trained = Training.train(cfg)

@@ -4,7 +4,7 @@ import org.scalacheck.Gen
 import repro.{PropSupport, SparkSpec}
 import repro.core.ModelTestOps.firstLast
 import repro.baselines.TopDown
-import repro.core.{Model, Point, SimpleDB, Traj}
+import repro.core.{Model, Point, SimpleDB, Training, Traj}
 import repro.data.TrajGen
 import repro.traj.ErrorMeasures
 
@@ -27,13 +27,13 @@ class ExperimentsSpec extends SparkSpec with PropSupport {
   }
 
   test("evaluator range queries have non-empty ground truths") {
-    val ev = new Experiments.Evaluator(db, "data", nRange = 20, nKnn = 2, nSim = 2, clusterTrajs = 10)
-    assert(ev.rangeQs.length === 20)
-    assert(ev.gtSummary.contains("rangeGT(nonempty)=20/20"))
+    val ev = new Experiments.Evaluator(db, "data")
+    assert(ev.rangeQs.length === 100)
+    assert(ev.gtSummary.contains("rangeGT(nonempty)=100/100"))
   }
 
   test("the identity simplification scores (near) perfect on every task") {
-    val ev = new Experiments.Evaluator(db, "data", nRange = 15, nKnn = 2, nSim = 2, clusterTrajs = 8)
+    val ev = new Experiments.Evaluator(db, "data")
     val identity = repro.core.SimpleDB(db.map(t => t.id -> Array.tabulate(t.length)(i => i)).toMap)
     val f1 = ev.evaluate(identity)
     assert(f1.range === 1.0)
@@ -43,7 +43,7 @@ class ExperimentsSpec extends SparkSpec with PropSupport {
   }
 
   test("endpoint-only simplification scores within [0,1] and below identity on range") {
-    val ev = new Experiments.Evaluator(db, "data", nRange = 15, nKnn = 2, nSim = 2, clusterTrajs = 8)
+    val ev = new Experiments.Evaluator(db, "data")
     val f1 = ev.evaluate(firstLast(db))
     for (v <- Seq(f1.range, f1.knnEdr, f1.knnEmbed, f1.similarity, f1.clustering))
       assert(v >= 0.0 && v <= 1.0)
@@ -51,7 +51,7 @@ class ExperimentsSpec extends SparkSpec with PropSupport {
   }
 
   test("rangeF1 agrees with the range component of evaluate") {
-    val ev = new Experiments.Evaluator(db, "data", nRange = 10, nKnn = 2, nSim = 2, clusterTrajs = 6)
+    val ev = new Experiments.Evaluator(db, "data")
     val s = firstLast(db)
     assert(math.abs(ev.rangeF1(s) - ev.evaluate(s).range) < 1e-12)
   }
@@ -133,14 +133,17 @@ class ExperimentsSpec extends SparkSpec with PropSupport {
   }
 
   test("the evaluator builds and scores a DB that holds a zero-point trajectory") {
-    val withEmpty = Experiments.benchDb(nTrajs = 5) :+ Traj(999, Array.empty)
-    val identity = SimpleDB(withEmpty.map(t => t.id -> Array.range(0, t.length)).toMap)
-    for (seed <- 0L to 5L) {
-      val ev = new Experiments.Evaluator(withEmpty, "data", seed)
+    val bench = Experiments.benchDb(nTrajs = 5)
+    // the empty trajectory at every position, so that the sampled kNN and
+    // similarity queries fall on it in some of the DBs
+    for (at <- 0 to bench.length) {
+      val withEmpty = bench.patch(at, Seq(Traj(999, Array.empty)), 0)
+      val identity = SimpleDB(withEmpty.map(t => t.id -> Array.range(0, t.length)).toMap)
+      val ev = new Experiments.Evaluator(withEmpty, "data")
       for (s <- Seq(identity, firstLast(withEmpty))) {
         val f = ev.evaluate(s)
         for (v <- Seq(f.range, f.knnEdr, f.knnEmbed, f.similarity, f.clustering))
-          assert(v >= 0.0 && v <= 1.0, s"seed=$seed ${f.fmt}")
+          assert(v >= 0.0 && v <= 1.0, s"at=$at ${f.fmt}")
       }
     }
   }
@@ -179,7 +182,7 @@ class ExperimentsSpec extends SparkSpec with PropSupport {
       (db, workload, kinds)
     }
     forAllN(cases, 60) { case (db, workload, kinds) =>
-      val ev = new Experiments.Evaluator(db, workload, nRange = 10, nKnn = 2, nSim = 2, clusterTrajs = 10)
+      val ev = new Experiments.Evaluator(db, workload)
       val identity = SimpleDB(db.map(t => t.id -> Array.range(0, t.length)).toMap)
       val everyOther = SimpleDB(db.map(t =>
         t.id -> Array.range(0, t.length).filter(i => i % 2 == 0 || i == t.length - 1)).toMap)
@@ -215,6 +218,14 @@ class ExperimentsSpec extends SparkSpec with PropSupport {
       val e = intercept[IllegalArgumentException](new Experiments.Evaluator(db, "data"))
       assert(e.getMessage.startsWith(s"trajectory ${100 + bad}: t falls at index $at "), e.getMessage)
     }
+  }
+
+  test("runRl4qdts returns the requested number of runs, each at the exact budget") {
+    val agents = Training.makeAgents(Experiments.benchParams, seed = 5)
+    val w = 2 * db.length + 10
+    val runs = Experiments.runRl4qdts(db, w, agents, "data", runs = 3, seed = 17)
+    assert(runs.size === 3)
+    assert(runs.forall(_.totalPoints === w))
   }
 
   test("printTable renders all rows and columns") {

@@ -67,23 +67,17 @@ class EdrSpec extends SparkSpec with PropSupport {
   }
 
   test("subsample preserves endpoints and order") {
-    val a = Array.tabulate(100)(i => Point(i, i, i))
-    val s = Edr.subsample(a, 10)
-    assert(s.length === 10)
+    val a = Array.tabulate(4 * Edr.MaxLen)(i => Point(i, i, i))
+    val s = Edr.subsample(a)
+    assert(s.length === Edr.MaxLen)
     assert(s.head === a.head && s.last === a.last)
     assert(s.map(_.t).toSeq === s.map(_.t).toSeq.sorted)
   }
 
   test("subsample is identity when short enough") {
-    val a = Array.tabulate(5)(i => Point(i, i, i))
-    assert(Edr.subsample(a, 10) eq a)
-  }
-
-  test("maxLen below 2 is rejected with a clear message") {
-    val a = pts((0, 0), (1, 1), (2, 2))
-    for (maxLen <- Seq(1, 0, -3)) {
-      val e = intercept[IllegalArgumentException](Edr.edr(a, a, 0.1, maxLen))
-      assert(e.getMessage.contains("maxLen"))
+    for (n <- Seq(5, Edr.MaxLen)) {
+      val a = Array.tabulate(n)(i => Point(i, i, i))
+      assert(Edr.subsample(a) eq a)
     }
   }
 
@@ -107,8 +101,11 @@ class EdrSpec extends SparkSpec with PropSupport {
   test("maxLen caps the DP size without changing short-sequence results") {
     val a = pts((0, 0), (1, 1), (2, 2))
     val b = pts((0, 0), (9, 9), (2, 2))
-    assert(Edr.edr(a, b, 0.1, maxLen = 2) >= 0) // just runs
-    assert(Edr.edr(a, b, 0.1, maxLen = 100) === 1.0)
+    assert(Edr.edr(a, b, 0.1) === 1.0)
+    // no point of one matches the other: the distance is the capped length
+    val long = Array.tabulate(1000)(i => Point(i, 0, i))
+    val far = Array.tabulate(900)(i => Point(i, 1e6, i))
+    assert(Edr.edr(long, far, 0.1) === Edr.MaxLen.toDouble)
   }
 
   private def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
@@ -132,19 +129,17 @@ class EdrSpec extends SparkSpec with PropSupport {
   test("edr equals edrReference bit for bit on random inputs") {
     val lengths = Gen.frequency(1 -> Gen.oneOf(wordEdges), 1 -> Gen.chooseNum(0, 300))
     val epsValues = Gen.oneOf(0.0, -1.0, Double.NaN, Double.PositiveInfinity, 1.0, 2.0, 0.5)
-    val maxLens = Gen.oneOf(2, 3, 64, 65, 256, 1000)
     val cases = for {
-      n <- lengths; m <- lengths; eps <- epsValues; maxLen <- maxLens
+      n <- lengths; m <- lengths; eps <- epsValues
       seed <- Gen.chooseNum(0L, Long.MaxValue)
-    } yield (n, m, eps, maxLen, seed)
+    } yield (n, m, eps, seed)
     var multiWord, partial, special, negOrNaNEps, infEps = 0
-    forAllN(cases, 500) { case (n, m, eps, maxLen, seed) =>
+    forAllN(cases, 500) { case (n, m, eps, seed) =>
       val rng = new java.util.Random(seed)
       val a = seq(n, rng); val b = seq(m, rng)
-      val got = Edr.edr(a, b, eps, maxLen)
-      assert(bits(got) === bits(Edr.edrReference(a, b, eps, maxLen)),
-        s"n=$n m=$m eps=$eps maxLen=$maxLen seed=$seed")
-      val (na, nb) = (math.min(n, maxLen), math.min(m, maxLen))
+      val got = Edr.edr(a, b, eps)
+      assert(bits(got) === bits(Edr.edrReference(a, b, eps)), s"n=$n m=$m eps=$eps seed=$seed")
+      val (na, nb) = (math.min(n, Edr.MaxLen), math.min(m, Edr.MaxLen))
       if (na > 64 && nb > 0) multiWord += 1
       if (na > 64 && got < math.max(na, nb)) partial += 1
       if ((a ++ b).exists(p => !java.lang.Double.isFinite(p.x) || !java.lang.Double.isFinite(p.y))) special += 1
@@ -161,7 +156,7 @@ class EdrSpec extends SparkSpec with PropSupport {
     for (n <- 0 to 300; m <- Seq(0, 1, 2, 64, 129, 300); eps <- Seq(0.0, 1.0)) {
       val a = seq(n, rng, special = 0.01); val b = seq(m, rng, special = 0.01)
       for ((x, y) <- Seq((a, b), (b, a)))
-        assert(bits(Edr.edr(x, y, eps, 1000)) === bits(Edr.edrReference(x, y, eps, 1000)),
+        assert(bits(Edr.edr(x, y, eps)) === bits(Edr.edrReference(x, y, eps)),
           s"n=${x.length} m=${y.length} eps=$eps")
       if (wordEdges.contains(n) && n > 2 && m > 0) crossings += 1
     }
@@ -170,12 +165,12 @@ class EdrSpec extends SparkSpec with PropSupport {
 
   test("edr equals edrReference on 700-point inputs at every maxLen") {
     val rng = new java.util.Random(700)
-    for (maxLen <- Seq(2, 64, 65, 256, 1000); eps <- Seq(0.0, 1.0, 2.0)) {
+    for (eps <- Seq(0.0, 1.0, 2.0)) {
       val a = seq(700, rng); val b = seq(700 - rng.nextInt(50), rng)
       for ((x, y) <- Seq((a, b), (b, a))) {
-        val d = Edr.edr(x, y, eps, maxLen)
-        assert(bits(d) === bits(Edr.edrReference(x, y, eps, maxLen)), s"maxLen=$maxLen eps=$eps")
-        assert(d <= math.min(700, maxLen))
+        val d = Edr.edr(x, y, eps)
+        assert(bits(d) === bits(Edr.edrReference(x, y, eps)), s"eps=$eps")
+        assert(d <= Edr.MaxLen)
       }
     }
   }

@@ -8,16 +8,14 @@ class TrajEmbedSpec extends SparkSpec {
 
   private val frame = (0.0, 100.0, 0.0, 100.0) // xmin, xspan, ymin, yspan
 
-  private def emb(tr: Traj, l: Int = 8) =
-    TrajEmbed.embed(tr, frame._1, frame._2, frame._3, frame._4, l)
+  private def emb(tr: Traj) = TrajEmbed.embed(tr, frame._1, frame._2, frame._3, frame._4)
 
   // the kNN-embedding dissimilarity, as `KnnQuery` computes it
-  private def dist(a: Traj, b: Traj) =
-    TrajEmbed.l2(emb(a, TrajEmbed.DefaultL), emb(b, TrajEmbed.DefaultL))
+  private def dist(a: Traj, b: Traj) = TrajEmbed.l2(emb(a), emb(b))
 
   test("embedding has dimension 2L") {
     val tr = Traj(0, Array(Point(0, 0, 0), Point(10, 10, 10)))
-    assert(emb(tr, 16).length === 32)
+    assert(emb(tr).length === 2 * TrajEmbed.L)
   }
 
   test("embedding of an empty trajectory is the zero vector") {
@@ -25,8 +23,8 @@ class TrajEmbedSpec extends SparkSpec {
   }
 
   test("single-point trajectory repeats its location") {
-    val e = emb(Traj(0, Array(Point(50, 25, 5))), 4)
-    assert(e.toSeq === Seq(0.5, 0.25, 0.5, 0.25, 0.5, 0.25, 0.5, 0.25))
+    val e = emb(Traj(0, Array(Point(50, 25, 5))))
+    assert(e.toSeq === Seq.fill(TrajEmbed.L)(Seq(0.5, 0.25)).flatten)
   }
 
   test("self-distance is 0") {

@@ -11,7 +11,7 @@ class DqnSpec extends SparkSpec with PropSupport {
     Transition(Array(0.0), 0, r, Array(0.0), Array(true), done)
 
   test("replay memory grows to capacity then overwrites") {
-    val m = new ReplayMemory(4)
+    val m = new ReplayMemory(4, seed = 11)
     (1 to 3).foreach(i => m.add(tr(i)))
     assert(m.size === 3)
     (4 to 9).foreach(i => m.add(tr(i)))
@@ -22,11 +22,11 @@ class DqnSpec extends SparkSpec with PropSupport {
   }
 
   test("sample of an empty memory is empty") {
-    assert(new ReplayMemory(4).sample(10).isEmpty)
+    assert(new ReplayMemory(4, seed = 11).sample(10).isEmpty)
   }
 
   test("sample size is capped by fill level") {
-    val m = new ReplayMemory(10)
+    val m = new ReplayMemory(10, seed = 11)
     m.add(tr(1)); m.add(tr(2))
     assert(m.sample(5).size === 2)
   }
@@ -48,7 +48,7 @@ class DqnSpec extends SparkSpec with PropSupport {
   }
 
   test("selectAction with no valid action throws") {
-    val dqn = new DQN(2, 3)
+    val dqn = new DQN(2, 3, seed = 13)
     intercept[IllegalArgumentException] {
       dqn.selectAction(Array(0.0, 0.0), Array(false, false, false), explore = false)
     }
@@ -62,11 +62,17 @@ class DqnSpec extends SparkSpec with PropSupport {
   }
 
   test("epsilon decays to the floor") {
-    val dqn = new DQN(1, 2, epsMin = 0.1, epsDecay = 0.5)
-    dqn.decayEpsilon(); dqn.decayEpsilon(); dqn.decayEpsilon(); dqn.decayEpsilon()
-    assert(math.abs(dqn.epsilon - 0.1) < 1e-12)
+    val dqn = new DQN(1, 2, seed = 13)
     dqn.decayEpsilon()
-    assert(math.abs(dqn.epsilon - 0.1) < 1e-12)
+    assert(dqn.epsilon === 0.99)
+    // by 0.99 per call: 0.99^229 ≈ 0.1002 and 0.99^230 ≈ 0.0991, so the 0.1
+    // floor is reached at the 230th decay
+    for (_ <- 2 to 229) dqn.decayEpsilon()
+    assert(dqn.epsilon > DQN.EpsMin)
+    dqn.decayEpsilon()
+    assert(dqn.epsilon === DQN.EpsMin)
+    dqn.decayEpsilon()
+    assert(dqn.epsilon === DQN.EpsMin)
   }
 
   test("DQN learns a two-armed bandit (action 1 pays more)") {
@@ -84,7 +90,7 @@ class DqnSpec extends SparkSpec with PropSupport {
 
   test("DQN bootstraps through non-terminal transitions (two-step chain)") {
     // s0 --a0--> s1 (r 0), s1 --a0--> done (r 1); gamma=0.9 => Q(s0,a0) -> ~0.9
-    val dqn = new DQN(1, 1, gamma = 0.9, lr = 0.02, targetSyncEvery = 20, seed = 59)
+    val dqn = new DQN(1, 1, gamma = 0.9, lr = 0.02, seed = 59)
     val s0 = Array(0.0); val s1 = Array(1.0)
     for (_ <- 0 until 600) {
       dqn.remember(Transition(s0, 0, 0.0, s1, Array(true), done = false))
@@ -97,7 +103,7 @@ class DqnSpec extends SparkSpec with PropSupport {
 
   test("masked next-state actions are excluded from the bootstrap max") {
     // next state has a huge Q for action 1, but the mask forbids it
-    val dqn = new DQN(1, 2, gamma = 1.0, lr = 0.05, targetSyncEvery = 10, seed = 61)
+    val dqn = new DQN(1, 2, gamma = 1.0, lr = 0.05, seed = 61)
     val s0 = Array(0.0); val s1 = Array(1.0)
     // teach Q(s1,1) = 10 and Q(s1,0) = 0
     for (_ <- 0 until 400) {
@@ -106,7 +112,7 @@ class DqnSpec extends SparkSpec with PropSupport {
       dqn.trainStep()
     }
     // now teach s0 with next state s1 but action 1 masked: target = 0 + max(Q(s1,0)) ≈ 0
-    val dqn2 = new DQN(1, 2, gamma = 1.0, lr = 0.05, targetSyncEvery = 10, seed = 61)
+    val dqn2 = new DQN(1, 2, gamma = 1.0, lr = 0.05, seed = 61)
     for (_ <- 0 until 400) {
       dqn2.remember(Transition(s1, 1, 10.0, s1, Array(true, true), done = true))
       dqn2.remember(Transition(s1, 0, 0.0, s1, Array(true, true), done = true))
@@ -149,7 +155,7 @@ class DqnSpec extends SparkSpec with PropSupport {
     * taken, for the target sync.
     */
   private def referenceTrainStep(d: DQN, step: Int): Double = {
-    val batch = d.memory.sample(d.batchSize).map { t =>
+    val batch = d.memory.sample(DQN.BatchSize).map { t =>
       val tgt =
         if (t.done) t.reward
         else {
@@ -165,7 +171,7 @@ class DqnSpec extends SparkSpec with PropSupport {
     }
     val (xs, as, ys) = batch.unzip3
     val loss = ReferenceMLP.trainBatch(d.online, xs.toArray, as.toArray, ys.toArray, d.lr)
-    if (step % d.targetSyncEvery == 0) d.target.copyFrom(d.online)
+    if (step % DQN.TargetSyncEvery == 0) d.target.copyFrom(d.online)
     loss
   }
 
@@ -181,7 +187,7 @@ class DqnSpec extends SparkSpec with PropSupport {
     var step = 0
     for (t <- ts) {
       a.remember(t); b.remember(t)
-      if (b.memory.size >= b.batchSize) {
+      if (b.memory.size >= DQN.BatchSize) {
         step += 1
         val la = a.trainStep()
         val lb = referenceTrainStep(b, step)
@@ -193,34 +199,37 @@ class DqnSpec extends SparkSpec with PropSupport {
     }
   }
 
+  /** Enough transitions for one full batch and then `TargetSyncEvery`
+    * learning steps, so at least one target sync happens.
+    */
+  private val toFirstSync = DQN.BatchSize + DQN.TargetSyncEvery
+
   test("trainStep equals the reference step bit for bit") {
     val rng = new java.util.Random(79)
     def vec() = Array.fill(3)(rng.nextGaussian())
     // mixed terminal / bootstrap transitions with partial (sometimes empty) next masks
-    val ts = Seq.fill(60)(Transition(vec(), rng.nextInt(4), rng.nextGaussian(), vec(),
+    val ts = Seq.fill(toFirstSync)(Transition(vec(), rng.nextInt(4), rng.nextGaussian(), vec(),
       Array.fill(4)(rng.nextInt(3) == 0), done = rng.nextInt(3) == 0))
-    assertStepsMatch(() => new DQN(3, 4, batchSize = 8, targetSyncEvery = 5, seed = 73), ts, "")
+    assertStepsMatch(() => new DQN(3, 4, seed = 73), ts, "")
   }
 
   test("property: trainStep equals the reference step at every step, for any batch") {
     // special values: NaN, the infinities and -0.0 in states, next states and rewards
     val special = Array(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -0.0)
     val gen = for {
-      batchSize <- Gen.oneOf(1, 2, 31, 32, 33)
       stateDim <- Gen.choose(1, 6)
       nActions <- Gen.choose(1, 5)
       terminal <- Gen.oneOf("all", "none", "mixed")
       masks <- Gen.oneOf("empty", "full", "mixed")
       specialRate <- Gen.oneOf(0.0, 0.0, 0.02, 0.3)
-      syncEvery <- Gen.choose(1, 7)
       seed <- Gen.choose(0L, Long.MaxValue)
-    } yield (batchSize, stateDim, nActions, terminal, masks, specialRate, syncEvery, seed)
-    forAllN(gen, n = 60) { case c @ (batchSize, stateDim, nActions, terminal, masks, specialRate, syncEvery, seed) =>
+    } yield (stateDim, nActions, terminal, masks, specialRate, seed)
+    forAllN(gen, n = 60) { case c @ (stateDim, nActions, terminal, masks, specialRate, seed) =>
       val rng = new java.util.Random(seed)
       def value(): Double =
         if (rng.nextDouble() < specialRate) special(rng.nextInt(special.length)) else rng.nextGaussian()
       def vec() = Array.fill(stateDim)(value())
-      val ts = Seq.fill(batchSize + 12)(Transition(vec(), rng.nextInt(nActions), value(), vec(),
+      val ts = Seq.fill(toFirstSync + 12)(Transition(vec(), rng.nextInt(nActions), value(), vec(),
         Array.fill(nActions)(masks match {
           case "empty" => false
           case "full" => true
@@ -231,8 +240,7 @@ class DqnSpec extends SparkSpec with PropSupport {
           case "none" => false
           case _ => rng.nextBoolean()
         }))
-      assertStepsMatch(() => new DQN(stateDim, nActions, batchSize = batchSize,
-        targetSyncEvery = syncEvery, seed = seed), ts, s"case $c")
+      assertStepsMatch(() => new DQN(stateDim, nActions, seed = seed), ts, s"case $c")
     }
   }
 
@@ -245,9 +253,9 @@ class DqnSpec extends SparkSpec with PropSupport {
       "long next state" -> Transition(ok(), 1, 1.0, Array.fill(5)(0.5), Array(true, true), done = false))
     for ((name, bad) <- cases) {
       def make() = {
-        val d = new DQN(3, 2, batchSize = 4, seed = 83)
+        val d = new DQN(3, 2, seed = 83)
         // only the bad transition is stored, so every draw is it
-        for (_ <- 0 until 4) d.remember(bad)
+        for (_ <- 0 until DQN.BatchSize) d.remember(bad)
         d
       }
       val a = make()
@@ -262,10 +270,12 @@ class DqnSpec extends SparkSpec with PropSupport {
   }
 
   test("target network sync copies online weights") {
-    val dqn = new DQN(1, 2, targetSyncEvery = 1, seed = 67)
+    val dqn = new DQN(1, 2, seed = 67)
     for (i <- 0 until 40) { dqn.remember(tr(i)); }
-    dqn.trainStep() // syncs because targetSyncEvery = 1
     val x = Array(0.3)
+    for (_ <- 1 until DQN.TargetSyncEvery) dqn.trainStep()
+    assert(dqn.online.forward(x).toSeq !== dqn.target.forward(x).toSeq)
+    dqn.trainStep() // the 100th step syncs
     assert(dqn.online.forward(x).toSeq === dqn.target.forward(x).toSeq)
   }
 }
